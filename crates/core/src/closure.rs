@@ -108,6 +108,8 @@ pub struct GroundClosure {
     node_term: Vec<TermId>,
     /// Functor of each node (every node is a ground application).
     node_sym: Vec<Sym>,
+    /// Indexed by [`Sym::index`]: whether some node has that functor.
+    node_functor: Vec<bool>,
     /// Child *node* indices of each node.
     node_args: Vec<Vec<u32>>,
     /// Term → node index. Owned keys; queries look up with a borrowed term.
@@ -251,6 +253,7 @@ impl GroundClosure {
                 arena: TermArena::new(),
                 node_term: Vec::new(),
                 node_sym: Vec::new(),
+                node_functor: Vec::new(),
                 node_args: Vec::new(),
                 index: HashMap::new(),
                 words: 0,
@@ -283,6 +286,13 @@ impl GroundClosure {
             }
             comp_rows[c] = row;
         }
+        let mut node_functor = Vec::new();
+        for sym in &b.node_sym {
+            if node_functor.len() <= sym.index() {
+                node_functor.resize(sym.index() + 1, false);
+            }
+            node_functor[sym.index()] = true;
+        }
         let mut reach = vec![0u64; n * words];
         for i in 0..n {
             reach[i * words..(i + 1) * words].copy_from_slice(&comp_rows[comp[i]]);
@@ -292,6 +302,7 @@ impl GroundClosure {
             arena: b.arena,
             node_term: b.node_term,
             node_sym: b.node_sym,
+            node_functor,
             node_args: b.node_args,
             index: b.index,
             words,
@@ -347,7 +358,16 @@ impl GroundClosure {
     /// either side is non-ground, the closure is disabled, or `sup` is
     /// outside the node set.
     pub fn decide(&self, sup: &Term, sub: &Term) -> Option<bool> {
-        if self.disabled || !sub.is_ground() {
+        if !sub.is_ground() {
+            return None;
+        }
+        self.decide_ground(sup, sub)
+    }
+
+    /// [`GroundClosure::decide`] for a caller that already knows `sub` is
+    /// ground, saving the scan.
+    pub(crate) fn decide_ground(&self, sup: &Term, sub: &Term) -> Option<bool> {
+        if self.disabled {
             return None;
         }
         let &i = self.index.get(sup)?;
@@ -358,6 +378,14 @@ impl GroundClosure {
     /// ground search exactly — either `sub` is ε-reachable as a node, or
     /// some ε-reachable node decomposes against it functor-wise.
     fn decide_idx(&self, i: u32, sub: &Term) -> bool {
+        let Term::App(f, fargs) = sub else {
+            return false;
+        };
+        // A functor no node carries can neither be a node nor decompose
+        // against one; rejecting it here spares hashing all of `sub`.
+        if !self.node_functor.get(f.index()).copied().unwrap_or(false) {
+            return false;
+        }
         if let Some(&j) = self.index.get(sub) {
             if self.reach_bit(i, j) {
                 return true;
@@ -368,9 +396,6 @@ impl GroundClosure {
                 return false;
             }
         }
-        let Term::App(f, fargs) = sub else {
-            return false;
-        };
         if fargs.is_empty() {
             // A ground constant not in the node set can only be derived via
             // equality with a node, which the map lookup ruled out.

@@ -168,7 +168,7 @@ impl<'a> Auditor<'a> {
                 if step.resolvent.is_empty() {
                     return; // the empty clause is trivially well-typed
                 }
-                if let Err(error) = checker.check_query(&step.resolvent) {
+                if let Err(error) = checker.check_query_verdict(&step.resolvent) {
                     new_violations.push(Violation {
                         depth: step.depth,
                         resolvent: step.resolvent.clone(),
@@ -196,7 +196,7 @@ impl<'a> Auditor<'a> {
                     // Corollary: the instantiated query must stay well-typed.
                     let instantiated: Vec<Term> =
                         goals.iter().map(|g| sol.answer.resolve(g)).collect();
-                    if checker.check_query(&instantiated).is_err() {
+                    if checker.check_query_verdict(&instantiated).is_err() {
                         report.answers_consistent = false;
                     }
                     report.solutions.push(sol);

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeSet;
 
-use lp_term::{unify, Signature, Subst, SymKind, Term, Var, VarGen};
+use lp_term::{unify_trailed, OccursCheck, Signature, Subst, SymKind, Term, Trail, Var, VarGen};
 
 use crate::constraint::CheckedConstraints;
 use crate::witness::Step;
@@ -192,17 +192,17 @@ impl<'a> Prover<'a> {
             steps: 0,
             cut: false,
             trail: Vec::new(),
+            subst: Subst::new(),
+            bound: Trail::new(),
         };
-        let mut found: Option<Subst> = None;
         let budget = self.config.var_expansion_budget;
-        search.prove_seq(goals, &Subst::new(), budget, &mut |_search, subst| {
-            found = Some(subst.clone());
-            true
-        });
-        match found {
-            Some(s) => (Proof::Proved(s.normalize()), search.trail),
-            None if search.cut => (Proof::Unknown, Vec::new()),
-            None => (Proof::Refuted, Vec::new()),
+        // The first solution stops the search with its bindings in place.
+        if search.prove_seq(goals, budget, &mut |_| true) {
+            (Proof::Proved(search.subst.normalize()), search.trail)
+        } else if search.cut {
+            (Proof::Unknown, Vec::new())
+        } else {
+            (Proof::Refuted, Vec::new())
         }
     }
 
@@ -234,10 +234,17 @@ struct Search<'p, 'a> {
     /// the trail exactly as it found it — on success the trail is the
     /// complete depth-first derivation of the accepted answer.
     trail: Vec<Step>,
+    /// The one substitution of the search. Same discipline as `trail`:
+    /// every binding is recorded on `bound`, and an alternative that fails
+    /// undoes back to its entry mark, so a failing `prove` leaves `subst`
+    /// as it found it and a successful search ends holding the answer.
+    subst: Subst,
+    bound: Trail,
 }
 
-/// Continuation invoked per solution; returns `true` to stop the search.
-type Cont<'k, 'p, 'a> = &'k mut dyn FnMut(&mut Search<'p, 'a>, &Subst) -> bool;
+/// Continuation invoked per solution (the bindings are in
+/// [`Search::subst`]); returns `true` to stop the search.
+type Cont<'k, 'p, 'a> = &'k mut dyn FnMut(&mut Search<'p, 'a>) -> bool;
 
 impl<'p, 'a> Search<'p, 'a> {
     fn is_rigid(&self, v: Var) -> bool {
@@ -256,28 +263,47 @@ impl<'p, 'a> Search<'p, 'a> {
         false
     }
 
-    /// Enumerates solutions of `sup >= sub` under `subst`, feeding each to
-    /// `k`. Returns `true` iff `k` accepted one (search stops then).
-    fn prove(
-        &mut self,
-        sup: &Term,
-        sub: &Term,
-        subst: &Subst,
-        budget: u32,
-        k: Cont<'_, 'p, 'a>,
-    ) -> bool {
+    /// Binds `v` to `t`, runs `attempt`, and undoes the binding if the
+    /// attempt fails.
+    fn with_binding(&mut self, v: Var, t: Term, attempt: impl FnOnce(&mut Self) -> bool) -> bool {
+        let mark = self.bound.mark();
+        self.bound.bind(&mut self.subst, v, t);
+        if attempt(self) {
+            return true;
+        }
+        self.bound.undo_to(&mut self.subst, mark);
+        false
+    }
+
+    /// Unifies `a` with `b` and continues with `k` under a `Refl` step;
+    /// undoes every binding (partial ones included) if either fails.
+    fn unify_then(&mut self, a: &Term, b: &Term, k: Cont<'_, 'p, 'a>) -> bool {
+        let mark = self.bound.mark();
+        if unify_trailed(a, b, &mut self.subst, OccursCheck::Enabled, &mut self.bound).is_ok()
+            && self.with_step(Step::Refl, k)
+        {
+            return true;
+        }
+        self.bound.undo_to(&mut self.subst, mark);
+        false
+    }
+
+    /// Enumerates solutions of `sup >= sub` under the current bindings,
+    /// feeding each to `k`. Returns `true` iff `k` accepted one (search
+    /// stops then, bindings in place); `false` leaves the bindings as found.
+    fn prove(&mut self, sup: &Term, sub: &Term, budget: u32, k: Cont<'_, 'p, 'a>) -> bool {
         self.steps += 1;
         if self.steps > self.prover.config.max_steps {
             self.cut = true;
             return false;
         }
-        let sup = subst.walk(sup).clone();
-        let sub = subst.walk(sub).clone();
+        let sup = self.subst.walk(sup).clone();
+        let sub = self.subst.walk(sub).clone();
         match (&sup, &sub) {
             // Both variables: unify, optionally enumerate the supertype.
             (Term::Var(v), Term::Var(w)) => {
                 if v == w {
-                    return self.with_step(Step::Refl, |me| k(me, subst));
+                    return self.with_step(Step::Refl, k);
                 }
                 match (self.is_rigid(*v), self.is_rigid(*w)) {
                     // Two distinct universals are never related.
@@ -289,22 +315,19 @@ impl<'p, 'a> Search<'p, 'a> {
                         } else {
                             (*v, *w)
                         };
-                        let mut s2 = subst.clone();
-                        s2.bind(bindable, Term::Var(other));
-                        if self.with_step(Step::Refl, |me| k(me, &s2)) {
-                            return true;
-                        }
                         // Enumeration cannot help: any constructor binding
                         // would have to relate to an inert variable.
-                        false
+                        self.with_binding(bindable, Term::Var(other), |me| {
+                            me.with_step(Step::Refl, k)
+                        })
                     }
                     (false, false) => {
-                        let mut s2 = subst.clone();
-                        s2.bind(*v, Term::Var(*w));
-                        if self.with_step(Step::Refl, |me| k(me, &s2)) {
+                        if self
+                            .with_binding(*v, Term::Var(*w), |me| me.with_step(Step::Refl, &mut *k))
+                        {
                             return true;
                         }
-                        self.enumerate_var(&sup, &sub, subst, budget, VarSide::Supertype, k)
+                        self.enumerate_var(&sup, &sub, budget, VarSide::Supertype, k)
                     }
                 }
             }
@@ -314,23 +337,16 @@ impl<'p, 'a> Search<'p, 'a> {
                 if self.is_rigid(*v) {
                     return false;
                 }
-                let mut s2 = subst.clone();
-                if unify(&sup, &sub, &mut s2).is_ok() && self.with_step(Step::Refl, |me| k(me, &s2))
-                {
+                if self.unify_then(&sup, &sub, &mut *k) {
                     return true;
                 }
-                self.enumerate_var(&sup, &sub, subst, budget, VarSide::Supertype, k)
+                self.enumerate_var(&sup, &sub, budget, VarSide::Supertype, k)
             }
             // Application vs subtype variable.
             (Term::App(c, _), Term::Var(w)) => {
                 let w_rigid = self.is_rigid(*w);
-                if !w_rigid {
-                    let mut s2 = subst.clone();
-                    if unify(&sup, &sub, &mut s2).is_ok()
-                        && self.with_step(Step::Refl, |me| k(me, &s2))
-                    {
-                        return true;
-                    }
+                if !w_rigid && self.unify_then(&sup, &sub, &mut *k) {
+                    return true;
                 }
                 // A type-constructor supertype can also be *rewritten* first:
                 // c(τ…) →_C σ, then σ >= W (e.g. int >= W with W = nat) —
@@ -338,7 +354,7 @@ impl<'p, 'a> Search<'p, 'a> {
                 if self.prover.sig.kind(*c) == SymKind::TypeCtor {
                     for (idx, e) in self.prover.cs.expansions_indexed(&sup) {
                         if self.with_step(Step::Constraint(idx), |me| {
-                            me.prove(&e, &sub, subst, budget, &mut *k)
+                            me.prove(&e, &sub, budget, &mut *k)
                         }) {
                             return true;
                         }
@@ -347,7 +363,7 @@ impl<'p, 'a> Search<'p, 'a> {
                 if w_rigid {
                     return false;
                 }
-                self.enumerate_var(&sub, &sup, subst, budget, VarSide::Subtype, k)
+                self.enumerate_var(&sub, &sup, budget, VarSide::Subtype, k)
             }
             (Term::App(f, fargs), Term::App(g, gargs)) => {
                 match self.prover.sig.kind(*f) {
@@ -358,7 +374,7 @@ impl<'p, 'a> Search<'p, 'a> {
                         }
                         let goals: Vec<(Term, Term)> =
                             fargs.iter().cloned().zip(gargs.iter().cloned()).collect();
-                        self.with_step(Step::Decompose, |me| me.prove_seq(&goals, subst, budget, k))
+                        self.with_step(Step::Decompose, |me| me.prove_seq(&goals, budget, k))
                     }
                     // Theorem 2: substitution axiom (same ctor) and two-step
                     // constraint applications.
@@ -367,14 +383,14 @@ impl<'p, 'a> Search<'p, 'a> {
                             let goals: Vec<(Term, Term)> =
                                 fargs.iter().cloned().zip(gargs.iter().cloned()).collect();
                             if self.with_step(Step::Decompose, |me| {
-                                me.prove_seq(&goals, subst, budget, &mut *k)
+                                me.prove_seq(&goals, budget, &mut *k)
                             }) {
                                 return true;
                             }
                         }
                         for (idx, e) in self.prover.cs.expansions_indexed(&sup) {
                             if self.with_step(Step::Constraint(idx), |me| {
-                                me.prove(&e, &sub, subst, budget, &mut *k)
+                                me.prove(&e, &sub, budget, &mut *k)
                             }) {
                                 return true;
                             }
@@ -387,18 +403,12 @@ impl<'p, 'a> Search<'p, 'a> {
     }
 
     /// Proves a conjunction of goals left to right with full backtracking.
-    fn prove_seq(
-        &mut self,
-        goals: &[(Term, Term)],
-        subst: &Subst,
-        budget: u32,
-        k: Cont<'_, 'p, 'a>,
-    ) -> bool {
+    fn prove_seq(&mut self, goals: &[(Term, Term)], budget: u32, k: Cont<'_, 'p, 'a>) -> bool {
         match goals.split_first() {
-            None => k(self, subst),
-            Some(((a, b), rest)) => self.prove(a, b, subst, budget, &mut |me, s2| {
-                me.prove_seq(rest, s2, budget, k)
-            }),
+            None => k(self),
+            Some(((a, b), rest)) => {
+                self.prove(a, b, budget, &mut |me| me.prove_seq(rest, budget, k))
+            }
         }
     }
 
@@ -409,7 +419,6 @@ impl<'p, 'a> Search<'p, 'a> {
         &mut self,
         var: &Term,
         other: &Term,
-        subst: &Subst,
         budget: u32,
         side: VarSide,
         k: Cont<'_, 'p, 'a>,
@@ -442,16 +451,13 @@ impl<'p, 'a> Search<'p, 'a> {
             if candidate == *other {
                 continue; // identical to the unification alternative
             }
-            let mut s2 = subst.clone();
             // Occurs check: `v` must not occur in `other` such that binding
             // creates a cycle — fresh arguments make this impossible, but
             // `v` itself must be unbound (guaranteed: we walked it).
-            s2.bind(*v, candidate.clone());
-            let proved = match side {
-                VarSide::Supertype => self.prove(&candidate, other, &s2, budget - 1, k),
-                VarSide::Subtype => self.prove(other, &candidate, &s2, budget - 1, k),
-            };
-            if proved {
+            if self.with_binding(*v, candidate.clone(), |me| match side {
+                VarSide::Supertype => me.prove(&candidate, other, budget - 1, &mut *k),
+                VarSide::Subtype => me.prove(other, &candidate, budget - 1, &mut *k),
+            }) {
                 return true;
             }
         }

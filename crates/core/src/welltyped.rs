@@ -30,6 +30,9 @@ use crate::table::ProofTable;
 #[derive(Debug, Clone, Default)]
 pub struct PredTypeTable {
     types: HashMap<Sym, Term>,
+    /// One past the largest variable of any declared type, kept up to date
+    /// by [`PredTypeTable::insert`] so a check need not rescan the table.
+    var_watermark: u32,
 }
 
 impl PredTypeTable {
@@ -70,17 +73,26 @@ impl PredTypeTable {
                 detail: format!("`{}` is not a predicate symbol", sig.name(p)),
             });
         }
-        if self.types.insert(p, pred_type).is_some() {
+        if self.types.contains_key(&p) {
             return Err(TypeCheckError::DuplicatePredType {
                 pred: sig.name(p).to_string(),
             });
         }
+        crate::arena::visit_vars(&pred_type, &mut |v| {
+            self.var_watermark = self.var_watermark.max(v.0 + 1);
+        });
+        self.types.insert(p, pred_type);
         Ok(())
     }
 
     /// The declared type of predicate `p` (Definition 15's `type(A)`).
     pub fn get(&self, p: Sym) -> Option<&Term> {
         self.types.get(&p)
+    }
+
+    /// One past the largest type variable of any declared predicate type.
+    pub(crate) fn var_watermark(&self) -> u32 {
+        self.var_watermark
     }
 
     /// Number of typed predicates.
@@ -285,6 +297,21 @@ impl<'a> Checker<'a> {
         result
     }
 
+    /// [`Checker::check_query`] without the evidence: the same verdict,
+    /// counters and timer, but no resolved [`ClauseTyping`] is built. The
+    /// Theorem 6 auditor, which checks every resolvent, needs only this.
+    ///
+    /// # Errors
+    ///
+    /// A [`TypeCheckError`] naming the offending goal.
+    pub(crate) fn check_query_verdict(&self, goals: &[Term]) -> Result<(), TypeCheckError> {
+        let atoms: Vec<&Term> = goals.iter().collect();
+        let started = self.begin_check("query", Counter::QueryChecks, Timer::CheckQuery);
+        let result = self.match_atoms(&atoms, false).1.map(drop);
+        self.end_check("query", Timer::CheckQuery, started, result.is_ok());
+        result
+    }
+
     /// [`Checker::check_clause`] with the evidence kept: same verdict and
     /// same instrumentation, plus the witnessed commitment solve.
     pub fn explain_clause(&self, clause: &Clause) -> CheckExplanation {
@@ -373,18 +400,31 @@ impl<'a> Checker<'a> {
         atoms: &[&Term],
         rigid_head: bool,
     ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
+        let (mut state, matched) = self.match_atoms(atoms, rigid_head);
+        let solve = state.take_last_solve();
+        let result = matched.map(|atom_types| ClauseTyping {
+            var_types: state.all_types(),
+            atom_types: atom_types.iter().map(|t| state.resolve(t)).collect(),
+        });
+        (result, solve)
+    }
+
+    /// Matches every atom against its renamed predicate type, then solves
+    /// the collected η commitments (paper §7). Returns the final matching
+    /// state, which holds the witnessed solve whether it succeeded or not,
+    /// and either each atom's (unresolved) instantiated type or the first
+    /// failure.
+    fn match_atoms(
+        &self,
+        atoms: &[&Term],
+        rigid_head: bool,
+    ) -> (CState, Result<Vec<Term>, TypeCheckError>) {
         // Fresh type variables must not collide with program variables.
         // Allocation-free walk: `Term::vars` would build a set per atom
         // just to fold a maximum over it.
-        let mut watermark = 0u32;
-        {
-            let mut raise = |v: Var| watermark = watermark.max(v.0 + 1);
-            for a in atoms {
-                crate::arena::visit_vars(a, &mut raise);
-            }
-            for (_, t) in self.preds.iter() {
-                crate::arena::visit_vars(t, &mut raise);
-            }
+        let mut watermark = self.preds.var_watermark();
+        for a in atoms {
+            crate::arena::visit_vars(a, &mut |v| watermark = watermark.max(v.0 + 1));
         }
         let mut state = CState::new(watermark);
         let cm = CMatcher::with_handle(self.sig, self.cs, self.table)
@@ -393,16 +433,9 @@ impl<'a> Checker<'a> {
         let mut atom_types = Vec::with_capacity(atoms.len());
         for (index, atom) in atoms.iter().enumerate() {
             let p = atom.functor().expect("atoms are applications");
-            let declared = match self.preds.get(p) {
-                Some(d) => d,
-                None => {
-                    return (
-                        Err(TypeCheckError::MissingPredType {
-                            pred: self.sig.name(p).to_string(),
-                        }),
-                        None,
-                    );
-                }
+            let Some(declared) = self.preds.get(p) else {
+                let pred = self.sig.name(p).to_string();
+                return (state, Err(TypeCheckError::MissingPredType { pred }));
             };
             // Rename the predicate type apart; head variables are rigid,
             // body (and query) variables flexible — they are the ηᵢ.
@@ -411,29 +444,20 @@ impl<'a> Checker<'a> {
             atom_types.push(renamed.clone());
             for (tau_i, t_i) in renamed.args().iter().zip(atom.args()) {
                 if let Err(failure) = cm.cmatch(&mut state, tau_i, t_i) {
-                    return (
-                        Err(TypeCheckError::IllTypedAtom {
-                            atom: index,
-                            pred: self.sig.name(p).to_string(),
-                            failure,
-                        }),
-                        None,
-                    );
+                    let error = TypeCheckError::IllTypedAtom {
+                        atom: index,
+                        pred: self.sig.name(p).to_string(),
+                        failure,
+                    };
+                    return (state, Err(error));
                 }
             }
         }
-        // Solve the collected η commitments (paper §7), keeping the
-        // evidence the solve produced whether it succeeded or not.
-        let solved = cm.finalize(&mut state);
-        let solve = state.take_last_solve();
-        let result = match solved {
-            Err(failure) => Err(TypeCheckError::UnsatisfiableCommitments { failure }),
-            Ok(()) => Ok(ClauseTyping {
-                var_types: state.all_types(),
-                atom_types: atom_types.iter().map(|t| state.resolve(t)).collect(),
-            }),
-        };
-        (result, solve)
+        let result = cm
+            .finalize(&mut state)
+            .map(|()| atom_types)
+            .map_err(|failure| TypeCheckError::UnsatisfiableCommitments { failure });
+        (state, result)
     }
 }
 

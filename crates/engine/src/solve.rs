@@ -7,7 +7,7 @@
 //! are needed to run the (infinite-tree) Horn theory `H_C` as the reference
 //! subtype prover.
 
-use lp_term::{rename_term, unify_with, OccursCheck, Subst, Term, Var, VarGen};
+use lp_term::{rename_term, unify_trailed, OccursCheck, Subst, Term, Trail, Var, VarGen};
 use std::collections::HashMap;
 
 use crate::database::Database;
@@ -63,7 +63,9 @@ pub struct Solution {
 ///
 /// Theorem 6 of the paper speaks about "every resolvent produced during the
 /// execution"; the consistency harness receives exactly those resolvents
-/// here, with the mgu already applied.
+/// here, with the mgu already applied. The solver builds a `Step` (and so
+/// resolves the whole resolvent) only when an observer is installed —
+/// [`Query::next_solution`] never pays for it.
 #[derive(Debug, Clone)]
 pub struct Step {
     /// Depth (number of resolution steps) of the *new* resolvent.
@@ -77,10 +79,14 @@ pub struct Step {
 }
 
 /// A choice point: a goal list plus the candidate clauses not yet tried.
+///
+/// The frame's substitution is the query's shared one undone back to
+/// `mark`: every binding made at or below this choice point sits above the
+/// mark on the trail.
 #[derive(Debug)]
 struct Frame {
     goals: Vec<Term>,
-    subst: Subst,
+    mark: usize,
     candidates: Vec<usize>,
     next: usize,
     depth: usize,
@@ -90,11 +96,15 @@ struct Frame {
 ///
 /// Acts as a resumable iterator: each call to [`Query::next_solution`]
 /// continues the depth-first search from where the previous answer was found.
+/// The search keeps one substitution and a trail of the variables it bound;
+/// backtracking undoes to the choice point's trail mark.
 pub struct Query<'db> {
     db: &'db Database,
     config: SolveConfig,
     gen: VarGen,
     stack: Vec<Frame>,
+    subst: Subst,
+    trail: Trail,
     query_vars: Vec<Var>,
     stats: Stats,
 }
@@ -129,7 +139,7 @@ impl<'db> Query<'db> {
         let root = Frame {
             candidates: candidates_for(db, goals.first()),
             goals,
-            subst: Subst::new(),
+            mark: 0,
             next: 0,
             depth: 0,
         };
@@ -138,6 +148,8 @@ impl<'db> Query<'db> {
             config,
             gen,
             stack: vec![root],
+            subst: Subst::new(),
+            trail: Trail::new(),
             query_vars,
             stats: Stats::default(),
         }
@@ -159,13 +171,15 @@ impl<'db> Query<'db> {
     /// Produces the next answer, or `None` when the search space (as limited
     /// by the configuration) is exhausted.
     pub fn next_solution(&mut self) -> Option<Solution> {
-        self.run(&mut |_| {})
+        self.run(None)
     }
 
     /// Like [`Query::next_solution`], invoking `observer` on every successful
-    /// resolution step (including steps on branches that later fail).
+    /// resolution step (including steps on branches that later fail). Each
+    /// [`Step`] — the selected atom and the resolvent under the current
+    /// bindings — is built only for the observer.
     pub fn next_solution_observed(&mut self, observer: &mut dyn FnMut(&Step)) -> Option<Solution> {
-        self.run(observer)
+        self.run(Some(observer))
     }
 
     /// Whether the last exhaustion was conclusive: `true` means the entire
@@ -175,14 +189,18 @@ impl<'db> Query<'db> {
         self.stack.is_empty() && self.stats.depth_cutoffs == 0 && !self.stats.budget_exhausted
     }
 
-    fn run(&mut self, observer: &mut dyn FnMut(&Step)) -> Option<Solution> {
+    fn run(&mut self, mut observer: Option<&mut dyn FnMut(&Step)>) -> Option<Solution> {
         while let Some(frame) = self.stack.last_mut() {
             // An empty goal list is a refutation; report it and backtrack.
+            // Nothing was bound since the frame was pushed, so the shared
+            // substitution is exactly the frame's.
             if frame.goals.is_empty() {
                 let depth = frame.depth;
-                let subst = frame.subst.clone();
                 self.stack.pop();
-                let answer = subst.restrict(self.query_vars.iter().copied()).normalize();
+                let answer = self
+                    .subst
+                    .restrict(self.query_vars.iter().copied())
+                    .normalize();
                 return Some(Solution { answer, depth });
             }
             // Depth bound: cut this branch.
@@ -209,34 +227,61 @@ impl<'db> Query<'db> {
             }
             self.stats.attempts += 1;
 
-            let selected = frame.goals[0].clone();
-            let mut subst = frame.subst.clone();
+            // Retract the previous alternative's bindings (and any partial
+            // bindings of a failed unification) before trying this one.
+            self.trail.undo_to(&mut self.subst, frame.mark);
             let clause = self.db.clause(clause_index);
             // Standardize the clause apart.
             let mut map = HashMap::new();
             let head = rename_term(&clause.head, &mut self.gen, &mut map);
-            if unify_with(&selected, &head, &mut subst, self.config.occurs).is_err() {
+            if unify_trailed(
+                &frame.goals[0],
+                &head,
+                &mut self.subst,
+                self.config.occurs,
+                &mut self.trail,
+            )
+            .is_err()
+            {
                 continue;
             }
-            let mut goals = Vec::with_capacity(clause.body.len() + frame.goals.len() - 1);
-            for b in &clause.body {
-                goals.push(rename_term(b, &mut self.gen, &mut map));
-            }
-            goals.extend_from_slice(&frame.goals[1..]);
             let depth = frame.depth + 1;
             self.stats.steps += 1;
+            let selected = observer
+                .is_some()
+                .then(|| self.subst.resolve(&frame.goals[0]));
+            // The resolvent replaces the selected atom by the clause body. A
+            // choice point with no clause left to try is never revisited, so
+            // its goal list moves into the new frame instead of being copied.
+            let body = clause
+                .body
+                .iter()
+                .map(|b| rename_term(b, &mut self.gen, &mut map));
+            let goals = if frame.next == frame.candidates.len() {
+                let mut goals = std::mem::take(&mut frame.goals);
+                goals.splice(0..1, body);
+                self.stack.pop();
+                goals
+            } else {
+                let mut goals = Vec::with_capacity(clause.body.len() + frame.goals.len() - 1);
+                goals.extend(body);
+                goals.extend_from_slice(&frame.goals[1..]);
+                goals
+            };
 
-            observer(&Step {
-                depth,
-                clause_index,
-                selected: subst.resolve(&selected),
-                resolvent: goals.iter().map(|g| subst.resolve(g)).collect(),
-            });
+            if let (Some(observer), Some(selected)) = (observer.as_deref_mut(), selected) {
+                observer(&Step {
+                    depth,
+                    clause_index,
+                    selected,
+                    resolvent: goals.iter().map(|g| self.subst.resolve(g)).collect(),
+                });
+            }
 
             let candidates = candidates_for(self.db, goals.first());
             self.stack.push(Frame {
                 goals,
-                subst,
+                mark: self.trail.mark(),
                 candidates,
                 next: 0,
                 depth,

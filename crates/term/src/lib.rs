@@ -12,7 +12,9 @@
 //!   is a predicate) — see [`Term`];
 //! * **substitutions** and their application and composition — see [`Subst`];
 //! * **most general unification** with occurs check — see [`unify`];
-//! * fresh-variable generation and term renaming — see [`VarGen`].
+//! * fresh-variable generation and term renaming — see [`VarGen`];
+//! * an undo [`Trail`] for backtracking searches over one mutable
+//!   substitution — see [`unify_trailed`].
 //!
 //! In addition it provides **skolem symbols** ([`SymKind::Skolem`]), used by
 //! the type system to implement the paper's "bar" operation `τ̄` (replace
@@ -47,6 +49,7 @@ mod rename;
 mod subst;
 mod symbol;
 mod term;
+mod trail;
 mod unify;
 
 pub use display::{NameHints, TermDisplay};
@@ -54,4 +57,5 @@ pub use rename::{rename_all, rename_term, VarGen};
 pub use subst::Subst;
 pub use symbol::{Interner, SigError, Signature, Sym, SymKind};
 pub use term::{Term, Var};
-pub use unify::{unify, unify_with, OccursCheck, UnifyError};
+pub use trail::Trail;
+pub use unify::{unify, unify_trailed, unify_with, OccursCheck, UnifyError};

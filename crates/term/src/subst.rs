@@ -38,6 +38,12 @@ impl Subst {
         self.map.insert(v, t);
     }
 
+    /// Removes the binding for `v`; backtracking goes through
+    /// [`Trail::undo_to`](crate::Trail::undo_to).
+    pub(crate) fn unbind(&mut self, v: Var) {
+        self.map.remove(&v);
+    }
+
     /// The binding for `v`, if any (no chasing).
     pub fn get(&self, v: Var) -> Option<&Term> {
         self.map.get(&v)

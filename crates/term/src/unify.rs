@@ -11,6 +11,7 @@ use std::fmt;
 use crate::subst::Subst;
 use crate::symbol::Sym;
 use crate::term::{Term, Var};
+use crate::trail::Trail;
 
 /// Whether unification performs the occurs check.
 ///
@@ -58,8 +59,9 @@ impl std::error::Error for UnifyError {}
 /// `subst` with the new bindings on success. Equivalent to solving
 /// `t1 σ = t2 σ` where `σ` is the incoming substitution.
 ///
-/// On failure `subst` may contain partial bindings; callers that need
-/// transactional behaviour should clone first (the engine does).
+/// On failure `subst` may contain partial bindings. Callers that need to
+/// retract them use [`unify_trailed`] and undo to a [`Trail`] mark (the
+/// SLD engine and the subtype prover do).
 ///
 /// # Errors
 ///
@@ -81,18 +83,48 @@ pub fn unify_with(
     subst: &mut Subst,
     occurs: OccursCheck,
 ) -> Result<(), UnifyError> {
-    // Explicit work stack avoids deep recursion on large terms.
+    unify_core(t1, t2, subst, occurs, &mut |subst, v, t| subst.bind(v, t))
+}
+
+/// [`unify_with`] recording every new binding on `trail`, so that
+/// [`Trail::undo_to`] a mark taken before the call retracts the attempt —
+/// partial bindings of a failed unification included.
+///
+/// # Errors
+///
+/// As for [`unify_with`].
+pub fn unify_trailed(
+    t1: &Term,
+    t2: &Term,
+    subst: &mut Subst,
+    occurs: OccursCheck,
+    trail: &mut Trail,
+) -> Result<(), UnifyError> {
+    unify_core(t1, t2, subst, occurs, &mut |subst, v, t| {
+        trail.bind(subst, v, t)
+    })
+}
+
+fn unify_core(
+    t1: &Term,
+    t2: &Term,
+    subst: &mut Subst,
+    occurs: OccursCheck,
+    bind: &mut dyn FnMut(&mut Subst, Var, Term),
+) -> Result<(), UnifyError> {
+    // Explicit work stack avoids deep recursion on large terms. Pairs are
+    // owned; only a variable's binding is copied out of `subst`.
     let mut work: Vec<(Term, Term)> = vec![(t1.clone(), t2.clone())];
     while let Some((a, b)) = work.pop() {
-        let a = subst.walk(&a).clone();
-        let b = subst.walk(&b).clone();
+        let a = deref(a, subst);
+        let b = deref(b, subst);
         match (a, b) {
             (Term::Var(v), Term::Var(w)) if v == w => {}
             (Term::Var(v), t) | (t, Term::Var(v)) => {
                 if occurs == OccursCheck::Enabled && occurs_in(v, &t, subst) {
                     return Err(UnifyError::OccursCheck { var: v });
                 }
-                subst.bind(v, t);
+                bind(subst, v, t);
             }
             (Term::App(f, fa), Term::App(g, ga)) => {
                 if f != g || fa.len() != ga.len() {
@@ -105,6 +137,15 @@ pub fn unify_with(
         }
     }
     Ok(())
+}
+
+/// `t` walked to its representative, copying only when a binding was
+/// followed (an owned application is already its own representative).
+fn deref(t: Term, subst: &Subst) -> Term {
+    match t {
+        Term::Var(v) if subst.binds(v) => subst.walk(&Term::Var(v)).clone(),
+        t => t,
+    }
 }
 
 /// Whether `v` occurs in `t` under the bindings of `subst`.

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use lp_term::{rename_term, unify, Signature, Subst, Sym, SymKind, Term, Var, VarGen};
+use lp_term::{
+    rename_term, unify, unify_trailed, OccursCheck, Signature, Subst, Sym, SymKind, Term, Trail,
+    Var, VarGen,
+};
 
 fn sig3() -> (Signature, Vec<Sym>) {
     let mut sig = Signature::new();
@@ -36,6 +39,31 @@ fn term_strategy() -> impl Strategy<Value = Term> {
 }
 
 proptest! {
+    /// Trailed unification binds exactly what plain unification binds, and
+    /// undoing to the mark taken before it restores the substitution —
+    /// after a failed attempt's partial bindings too.
+    #[test]
+    fn trailed_unification_undoes_exactly(
+        t0 in term_strategy(),
+        u0 in term_strategy(),
+        t1 in term_strategy(),
+        t2 in term_strategy(),
+    ) {
+        let mut base = Subst::new();
+        let mut trail = Trail::new();
+        let _ = unify_trailed(&t0, &u0, &mut base, OccursCheck::Enabled, &mut trail);
+        let mut plain = base.clone();
+        let plain_ok = unify(&t1, &t2, &mut plain).is_ok();
+        let before = base.clone();
+        let mark = trail.mark();
+        let trailed_ok =
+            unify_trailed(&t1, &t2, &mut base, OccursCheck::Enabled, &mut trail).is_ok();
+        prop_assert_eq!(plain_ok, trailed_ok);
+        prop_assert_eq!(&plain, &base);
+        trail.undo_to(&mut base, mark);
+        prop_assert_eq!(&base, &before);
+    }
+
     #[test]
     fn unify_with_self_is_trivial(t in term_strategy()) {
         let mut s = Subst::new();
