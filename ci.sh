@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, format, lint, goldens, perf smoke, concurrency.
+# Tier-1 gate: build, test, format, lint, goldens, perf smoke, concurrency,
+# benchmark self-test.
 # Run from the repo root.
 #
 #   ci.sh           full gate (release build, all checks, perf smoke)
@@ -127,8 +128,8 @@ step golden-batch golden_batch
 # The mode audit is pinned byte-for-byte in both formats (query 1 exercises
 # a runtime input-boundedness violation on top of the static diagnostics, so
 # the exit code is 2 by design), and the extended Theorem-6 walk must be
-# byte-identical across job counts — the mode check rides the same sharded
-# resolvent pipeline as the consistency audit.
+# byte-identical across job counts — `audit --jobs N` checks the program
+# across the same worker pool and shared proof table as `check --jobs N`.
 modes_golden() {
   local fmt flag jobs
   for fmt in txt json; do
@@ -166,7 +167,7 @@ golden_explain() {
 step golden-explain golden_explain
 
 # Every cached Proved entry must replay through the independent witness
-# validator, serial and sharded alike — and the verdicts printed on stdout
+# validator, serial and shared tables alike — and the verdicts printed on stdout
 # must be byte-identical across job counts even on the ill-typed corpus
 # (exit 2 there: the corpus is rejected, but the audit itself must pass,
 # which we check by diffing stderr too — an E0301 would show up in it).
@@ -246,7 +247,7 @@ step perf-smoke target/release/report --smoke --baseline BENCH_5.json
 step closure-golden target/release/report --smoke --baseline BENCH_5.json \
   --only ground_closure
 
-# Concurrency gate: the work-stealing pool and the seqlocked proof table
+# Concurrency gate: the work-stealing pool and the shared proof table
 # must actually engage, and must never change observable output.
 #
 #   1. The contention_storm workload is smoke-gated in isolation: its
@@ -290,6 +291,12 @@ concurrency_gate() {
 step storm-smoke target/release/report --smoke --baseline BENCH_5.json \
   --only contention_storm
 step concurrency-gate concurrency_gate
+
+# The benchmark harness builds perfbench/probe against the library API on
+# every run; its self-test runs each workload at smoke size, so an API
+# change that breaks the probe's build fails here rather than in the
+# benchmark.
+step perfbench-smoke python3 perfbench/test_bench.py
 
 timing_summary
 echo "ci: full gate passed" >&2

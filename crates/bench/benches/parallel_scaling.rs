@@ -1,4 +1,4 @@
-//! F7 — parallel scaling: the sharded proof table and worker pool against
+//! F7 — parallel scaling: the shared proof table and worker pool against
 //! the serial checker, swept over thread counts.
 //!
 //! Three workload shapes, mirroring the `slp` front end:
@@ -22,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lp_engine::Clause;
 use lp_gen::{programs, worlds};
-use subtype_core::{par, ParallelChecker, ShardedProofTable, ShardedProver};
+use subtype_core::{par, ParallelChecker, ShardedProofTable, TabledProver};
 
 fn bench_file_batch(c: &mut Criterion) {
     let workloads: Vec<bench::CheckWorkload> = bench::f7_corpus()
@@ -80,7 +80,7 @@ fn bench_concurrent_subtype_batch(c: &mut Criterion) {
                 let world = &world;
                 let verdicts =
                     par::run_indexed(jobs, std::hint::black_box(&goals), |_, (sup, sub)| {
-                        ShardedProver::new(&world.sig, &world.checked, &table)
+                        TabledProver::new(&world.sig, &world.checked, &table)
                             .subtype(sup, sub)
                             .is_proved()
                     });

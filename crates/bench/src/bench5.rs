@@ -18,8 +18,7 @@ use subtype_core::consistency::{AuditConfig, Auditor};
 use subtype_core::obs::json::JsonValue;
 use subtype_core::{
     lint_module_obs, par, Checker, Counter, LintOptions, MetricsRegistry, MetricsSnapshot,
-    ModeAnalysis, ProofTable, ServeConfig, ServeSession, ShardedProofTable, ShardedProver,
-    TabledProver,
+    ModeAnalysis, ProofTable, ServeConfig, ServeSession, ShardedProofTable, TabledProver,
 };
 
 /// Version tag of the document; bump on any structural change.
@@ -253,8 +252,9 @@ fn storm_cap(counter: Counter) -> u64 {
     }
 }
 
-/// The concurrency storm: the one workload that runs the *parallel* table
-/// and pool on purpose, proving the lock-free design by counters.
+/// The concurrency storm: the one workload that runs the *shared* table
+/// and the pool on purpose, checking by counters that workers really
+/// share the table and really steal.
 ///
 /// Phase 1 seeds 8 hot judgements into a [`ShardedProofTable`] serially.
 /// Phase 2 runs four single-item chunks through a four-worker
@@ -263,7 +263,7 @@ fn storm_cap(counter: Counter) -> u64 {
 /// and since every chunk is seeded onto worker 0's deque that forces
 /// **exactly 3 steals** on any machine — a silent fallback to serial
 /// dispatch (steals = 0) or to a fixed partition (no stealing) fails the
-/// smoke gate. Each worker then hammers the 8 hot keys (128 lock-free
+/// smoke gate. Each worker then hammers the 8 hot keys (128 shared
 /// hits in total) and publishes one private verdict (4 misses/inserts).
 /// Phase 3 rescopes every entry into a fresh generation (12 reused).
 ///
@@ -280,10 +280,10 @@ fn contention_storm() -> MetricsSnapshot {
     let mut world = worlds::paper_world();
     let goals = crate::alpha_variant_goals(&mut world, HOT + WORKERS, HOT + WORKERS);
     let (hot, solo) = goals.split_at(HOT);
-    let table = ShardedProofTable::with_config_and_metrics(16, 256, obs.clone());
+    let table = ShardedProofTable::with_capacity_and_metrics(256, obs.clone());
 
     // Phase 1: serial seed — 8 deterministic misses/inserts.
-    let prover = ShardedProver::new(&world.sig, &world.checked, &table);
+    let prover = TabledProver::new(&world.sig, &world.checked, &table);
     for (sup, sub) in hot {
         assert!(prover.subtype(sup, sub).is_proved());
     }
@@ -294,7 +294,7 @@ fn contention_storm() -> MetricsSnapshot {
     let items: Vec<usize> = (0..WORKERS).collect();
     par::run_indexed_chunked_obs(WORKERS, 1, &items, Some(&obs), |_, &worker| {
         barrier.wait();
-        let p = ShardedProver::new(&world.sig, &world.checked, &table);
+        let p = TabledProver::new(&world.sig, &world.checked, &table);
         for _ in 0..ROUNDS {
             for (sup, sub) in hot {
                 assert!(p.subtype(sup, sub).is_proved());

@@ -421,15 +421,15 @@ fn f6() {
     println!();
 }
 
-/// F7: parallel scaling of the batch pipeline over the sharded table.
+/// F7: parallel scaling of the batch pipeline over the shared table.
 fn f7() {
     use lp_engine::Clause;
-    use subtype_core::{par, ParallelChecker, ShardedProofTable, ShardedProver};
+    use subtype_core::{par, ParallelChecker, ShardedProofTable, TabledProver};
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("## F7 — parallel scaling (sharded proof table, worker pool)\n");
+    println!("## F7 — parallel scaling (shared proof table, worker pool)\n");
     println!("host: {cores} core(s) available — speedup is bounded by this\n");
 
     // (a) File-level batch: the `slp check f1 f2 … --jobs N` shape. Each
@@ -465,10 +465,10 @@ fn f7() {
     }
 
     // (b) Clause-level parallel check of one large program, all workers
-    // sharing one sharded table (the single-file `--jobs N` shape).
+    // sharing one table (the single-file `--jobs N` shape).
     let w = bench::workload(&programs::pipeline(64, 3));
     let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
-    println!("\nclause-parallel check (pipeline(64, 3), shared sharded table):\n");
+    println!("\nclause-parallel check (pipeline(64, 3), shared proof table):\n");
     println!("jobs | wall     | speedup | hit rate");
     println!("-----|----------|---------|---------");
     let mut base = Duration::ZERO;
@@ -509,7 +509,7 @@ fn f7() {
             let table = ShardedProofTable::new();
             let world = &world;
             let oks = par::run_indexed(jobs, &goals, |_, (sup, sub)| {
-                ShardedProver::new(&world.sig, &world.checked, &table)
+                TabledProver::new(&world.sig, &world.checked, &table)
                     .subtype(sup, sub)
                     .is_proved()
             });

@@ -256,28 +256,6 @@ pub fn encode_canonical(
     }
 }
 
-/// Appends the flat code of `t` to `code` with variables kept *as-is*
-/// (identity renaming) instead of canonicalized. Same wire format as
-/// [`encode_canonical`], so [`decode_terms`] is the inverse; used to pack
-/// already-canonical answer terms into the lock-free table's atomic
-/// bucket words.
-pub fn encode_term(code: &mut Vec<u32>, t: &Term) {
-    match t {
-        Term::Var(v) => {
-            debug_assert!(v.index() < VAR_TAG as usize, "variable index overflows tag");
-            code.push(VAR_TAG | v.0);
-        }
-        Term::App(s, args) => {
-            debug_assert!((s.index() as u32) < VAR_TAG, "symbol index overflows tag");
-            code.push(s.index() as u32);
-            code.push(args.len() as u32);
-            for a in args {
-                encode_term(code, a);
-            }
-        }
-    }
-}
-
 /// Decodes every term in a flat code stream (the inverse of a sequence of
 /// [`encode_canonical`] calls). Only used off the hot path: trace
 /// fingerprints and witness reconstruction.

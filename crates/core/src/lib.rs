@@ -20,7 +20,7 @@
 //! | (beyond the paper) flat arena terms and canonical key codes | [`arena`] |
 //! | (beyond the paper) precomputed ground-fragment subtype closure | [`closure`] |
 //! | (beyond the paper) tabled proving with generation invalidation | [`table`] |
-//! | (beyond the paper) lock-free seqlocked concurrent proof table | [`shard`] |
+//! | (beyond the paper) the proof table shared by worker threads | [`shard`] |
 //! | (beyond the paper) the work-stealing worker pool behind `--jobs N` | [`par`] |
 //! | (beyond the paper) metrics, timers, and span tracing | [`obs`] |
 //!
@@ -77,7 +77,6 @@ pub mod obs;
 pub mod par;
 pub mod prover;
 pub mod semantics;
-mod seqlock;
 pub mod serve;
 pub mod shard;
 pub mod table;
@@ -104,8 +103,8 @@ pub use naive::{NaiveOutcome, NaiveProver};
 pub use obs::{Counter, Fault, FaultPlan, MetricsRegistry, MetricsSnapshot, Timer, TraceEvent};
 pub use prover::{Proof, Prover, ProverConfig};
 pub use serve::{ServeConfig, ServeSession};
-pub use shard::{ShardedProofTable, ShardedProver, TableHandle, DEFAULT_SHARD_COUNT};
-pub use table::{ProofTable, TableStats, TabledProver};
+pub use shard::ShardedProofTable;
+pub use table::{ProofTable, TableHandle, TableStats, TabledProver};
 pub use typing::{freeze, freeze_pair, Typing};
 pub use welltyped::{CheckExplanation, Checker, ParallelChecker, PredTypeTable, TypeCheckError};
 pub use witness::{Step, Witness, WitnessError, Witnessed};

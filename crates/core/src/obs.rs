@@ -2,7 +2,7 @@
 //! structured trace sink for the whole prover pipeline.
 //!
 //! Every layer of the workspace — the proof table ([`crate::table`]), the
-//! seqlocked concurrent store ([`crate::shard`]), the constraint matcher
+//! table shared by worker threads ([`crate::shard`]), the constraint matcher
 //! ([`crate::cmatch`]), the clause/query checkers ([`crate::welltyped`]),
 //! the lint driver ([`crate::lint`]), the worker pool ([`crate::par`]) and
 //! the CLI — reports into one [`MetricsRegistry`]. The registry is a fixed
@@ -15,17 +15,17 @@
 //!
 //! Three consumers sit on top:
 //!
-//! * **Stats structs as views.** [`crate::table::TableStats`] (and the
-//!   sharded merge that used to lock every shard) are now read-only
-//!   snapshots of registry counters — one accounting path, no ad-hoc
-//!   merging.
+//! * **Stats structs as views.** [`crate::table::TableStats`] (for a
+//!   serial or a shared table alike) is a read-only snapshot of registry
+//!   counters — one accounting path, no ad-hoc merging.
 //! * **`--stats`.** [`MetricsSnapshot`] renders a byte-stable JSON document
 //!   (schema `slp-metrics/1`, fixed field order) or a human table; the CLI
 //!   prints it on **stderr** so result output on stdout is untouched.
 //! * **`--trace FILE`.** When a sink is installed, instrumented sites emit
 //!   one JSONL span event per line ([`TraceEvent`]): subtype-proof
 //!   start/end with the canonical key, table hit/miss/evict/invalidate,
-//!   shard contention, cmatch node expansions, clause-check begin/end.
+//!   waits on a shared table's lock, cmatch node expansions, clause-check
+//!   begin/end.
 //!
 //! The [`json`] submodule is a small serde-free JSON value type with a
 //! canonical renderer and a recursive-descent parser; golden tests
@@ -54,8 +54,9 @@ pub enum Counter {
     TableEvictions,
     /// Wholesale invalidations on generation mismatch.
     TableInvalidations,
-    /// Bucket writer stamps found busy on acquire (a concurrent writer
-    /// held the seqlock, so the insert was skipped or the probe moved on).
+    /// Inserts into a shared proof table that found its lock held by
+    /// another worker (`try_lock` failed) and waited for it. Zero on every
+    /// serial run by construction.
     ShardContention,
     /// Subtype proof obligations submitted to a prover (tabled or not).
     SubtypeGoals,
@@ -129,9 +130,9 @@ pub enum Counter {
     /// Terms flat-encoded into canonical proof-table key codes (two per
     /// subtype goal that reaches the table layer).
     ArenaTerms,
-    /// Seqlock read attempts the lock-free table discarded and retried
-    /// because a concurrent writer moved the bucket's sequence stamp (or
-    /// held it odd) mid-copy. Zero on every serial run by construction.
+    /// Lookups in a shared proof table that found its lock held by another
+    /// worker (`try_lock` failed) and waited for it. Zero on every serial
+    /// run by construction.
     TableReadRetries,
     /// Work chunks a pool worker claimed from *another* worker's deque.
     /// Zero when the pool runs inline (`--jobs 1`) — a parallel batch with
@@ -246,9 +247,9 @@ impl Counter {
     /// `IncrementalReuse`, which counts survivors of a rescope. The serve
     /// request counters *are* invariant: faults are keyed off request
     /// sequence numbers (see [`FaultPlan`]), not clocks or thread timing.
-    /// The concurrency counters added with the lock-free table —
-    /// seqlock read retries, deque steals, and failed steal attempts —
-    /// are scheduling luck by definition and excluded too.
+    /// The concurrency counters — waits on the shared table's lock, deque
+    /// steals, and failed steal attempts — are scheduling luck by
+    /// definition and excluded too.
     pub fn scheduling_invariant(self) -> bool {
         !matches!(
             self,
@@ -272,8 +273,8 @@ impl Counter {
     /// Whether a perf baseline should treat this counter as an upper
     /// *bound* rather than an exact expectation.
     ///
-    /// Seqlock retries, writer-lock collisions, and failed steal attempts
-    /// depend on how the OS interleaves racing threads: re-running the
+    /// Waits on the shared table's lock and failed steal attempts depend
+    /// on how the OS interleaves racing threads: re-running the
     /// same workload legitimately lands on different (small) values. The
     /// `contention_storm` bench therefore asserts a generous ceiling on
     /// the measured value and publishes the *ceiling* in its snapshot, so
@@ -382,16 +383,16 @@ pub enum TraceEvent<'a> {
         /// The new generation stamp.
         generation: u64,
     },
-    /// A bucket's writer stamp was busy on first try.
+    /// A shared table's lock was held by another worker on first try.
     ShardContention {
-        /// Index of the contended bucket.
+        /// Always 0: the table is one mutex.
         shard: usize,
     },
-    /// A poison-flagged store was recovered: it was wiped and the flag
-    /// reset, so later requests rebuild the cache instead of erroring
-    /// forever.
+    /// A shared table whose mutex a panic poisoned was recovered: it was
+    /// cleared and the poison lifted, so later requests rebuild the cache
+    /// instead of erroring forever.
     ShardPoisonRecovered {
-        /// Index of the recovered shard.
+        /// Always 0: the table is one mutex.
         shard: usize,
     },
     /// A serve session accepted a request.

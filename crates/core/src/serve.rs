@@ -30,8 +30,8 @@
 //! contained at the request boundary), `deadline` / `budget` (the
 //! request ran out of time / resource budget; verdicts degrade to
 //! `"unknown"` rather than guessing). A session survives all of them:
-//! no request can exit the process or wedge a shard (a poisoned shard
-//! lock is recovered on next access, see
+//! no request can exit the process or wedge the table (a table mutex
+//! poisoned by a panic is recovered on next access, see
 //! [`ShardedProofTable`]'s poison recovery).
 //!
 //! # Incremental re-checking
@@ -57,8 +57,9 @@
 //! degrades the *whole* response, never a scheduling-dependent subset of
 //! clauses). Faults come from an [`obs::FaultPlan`](FaultPlan) keyed off
 //! request sequence numbers — never clocks — so a faulted session
-//! replays identically anywhere; an injected `panic` also poisons a live
-//! shard first, so recovery is exercised end to end.
+//! replays identically anywhere; an injected `panic` unwinds while holding
+//! the table's lock, so std poisons the mutex and recovery is exercised end
+//! to end.
 
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -237,8 +238,8 @@ impl ServeSession {
     }
 
     /// Routes one well-formed request. Runs under `catch_unwind` so a
-    /// panic in parsing or checking poisons no more than a shard — which
-    /// the table recovers on its next access.
+    /// panic in parsing or checking poisons no more than the table's mutex
+    /// — which the table recovers on its next access.
     fn dispatch(
         &mut self,
         req: &JsonValue,
@@ -249,11 +250,11 @@ impl ServeSession {
     ) -> JsonValue {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(Fault::Panic) = fault {
-                // Poison-flag the live store before unwinding, so the
-                // injected panic exercises the worst case: a panic that
-                // leaves the table flagged must neither kill the daemon
-                // nor wedge the table for later requests.
-                self.table.poison_shard_for_fault_injection(0);
+                // Unwind while holding the table's guard, so the injected
+                // panic exercises the worst case: a panic that poisons the
+                // table must neither kill the daemon nor wedge the table
+                // for later requests.
+                let _guard = self.table.lock();
                 panic!("injected fault: panic at request {seq}");
             }
             match op {
@@ -347,7 +348,7 @@ impl ServeSession {
             )
         } else {
             // Wholesale replacement: the fresh generation stamp clears
-            // each shard lazily on its next access.
+            // the table lazily on its next access.
             0
         };
         let mut fields = vec![
@@ -811,7 +812,7 @@ mod tests {
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("panic"));
         assert!(r.get("retry_after").is_some());
         assert_eq!(s.metrics().get(Counter::RequestsPanicked), 1);
-        // The retry (new seq, no fault) succeeds despite the poisoned shard.
+        // The retry (new seq, no fault) succeeds despite the poisoned table.
         let retry = parse(&s.handle_line(&req(r#"{"op":"check"}"#)));
         assert_eq!(retry.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert_eq!(retry.get("errors").and_then(|v| v.as_u64()), Some(0));

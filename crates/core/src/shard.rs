@@ -1,75 +1,51 @@
-//! A thread-safe, read-optimized proof table for concurrent checking.
+//! The proof table shared by worker threads: one [`ProofTable`] behind one
+//! mutex.
 //!
-//! [`ProofTable`](crate::ProofTable) is deliberately single-threaded (it
-//! lives behind a `RefCell`). Parallel clause- and file-level checking
-//! needs many workers sharing one memo space. Through PR 9 that memo space
-//! was 16 `Mutex<ProofTable>` stripes; since this PR [`ShardedProofTable`]
-//! is a facade over [`BucketStore`](crate::seqlock::BucketStore), an
-//! epoch-stamped open-addressing map with **seqlock-validated lock-free
-//! reads**:
+//! Clause-parallel checking and `slp serve` need many workers sharing one
+//! memo space. [`ShardedProofTable`] is that space: the same bounded,
+//! generation-invalidated FIFO map the serial checker uses, guarded by a
+//! single [`Mutex`]. (The name survives from the striped and lock-free
+//! designs it replaces; there is one shard.) A [`TabledProver`] over
+//! [`TableHandle::Shared`](crate::TableHandle::Shared) holds the lock only
+//! for a hash probe or a write, never during a live proof search:
 //!
-//! * a canonical [`TableKey`]'s flat arena code hashes to a home bucket;
-//!   lookups scan a short probe window with atomic loads only — a reader
-//!   never takes a lock, never blocks a writer, and retries (counted in
-//!   [`Counter::TableReadRetries`]) only when it caught a bucket mid-write;
-//! * inserts claim one bucket's sequence stamp as a micro writer lock for
-//!   a handful of word stores; a busy stamp skips the publish (counted as
-//!   [`Counter::ShardContention`], the same counter the old striped design
-//!   fed) rather than queueing — hot-key convoys are gone by construction;
-//! * generation invalidation (see [`crate::table`]) is an O(1) epoch swap:
-//!   entries carry the generation they were derived under and are compared
-//!   against the *caller's* generation, so a stale or torn read can never
-//!   surface a verdict from a different theory; `rescope` re-stamps
-//!   provable survivors exactly like `ProofTable::rescope`;
-//! * all accounting lands in **one** shared [`MetricsRegistry`], so
-//!   [`ShardedProofTable::stats`] remains a lock-free read of atomics.
+//! * a lookup or insert first tries the lock; when another worker holds it
+//!   the wait is counted — [`Counter::TableReadRetries`] for a lookup,
+//!   [`Counter::ShardContention`] for an insert — and traced as
+//!   [`TraceEvent::ShardContention`], then the worker blocks;
+//! * a verdict is inserted under the generation it was derived under and
+//!   dropped if another theory moved the table in between (see
+//!   [`ProofTable::insert`]), so workers on different theories can share
+//!   one table without leaking verdicts across them;
+//! * all accounting lands in the table's [`MetricsRegistry`], which lives
+//!   outside the mutex, so [`ShardedProofTable::stats`] never takes the
+//!   lock;
+//! * a panic that unwinds while a guard is held poisons the mutex; the next
+//!   access recovers: it clears the cache, counts one
+//!   [`Counter::TableInvalidations`], traces
+//!   [`TraceEvent::ShardPoisonRecovered`], and callers re-derive on the
+//!   resulting misses.
 //!
-//! The public surface (geometry constructors, `len`/`capacity`/`stats`,
-//! `rescope`, witness auditing, fault-injection poisoning) is unchanged
-//! from the striped design, so `cmatch`/`welltyped`/`serve` and the
-//! witness replayer are plumbing-only consumers — and the serial-output
-//! guarantee from PR 3 still holds: scheduling can move work between hit
-//! and miss, never change a verdict.
+//! The serial-output guarantee still holds: scheduling can move work
+//! between hit and miss, never change a verdict.
 //!
-//! [`ShardedProver`] mirrors [`TabledProver`](crate::TabledProver) over a
-//! shared table, and [`TableHandle`] lets the matcher and checker accept
-//! either backend (or none) through one plumbing point.
+//! [`TabledProver`]: crate::TabledProver
 
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, TryLockError};
 
-use lp_term::{Signature, Subst, Term, Var};
+use lp_term::Signature;
 
-use crate::arena;
-use crate::closure::ClosureVerdict;
-use crate::constraint::{CheckedConstraints, SubtypeConstraint};
-use crate::obs::{Counter, MetricsRegistry, Timer, TraceEvent};
-use crate::prover::{Proof, Prover, ProverConfig};
-use crate::seqlock::BucketStore;
-use crate::table::{
-    verdict_name, CachedVerdict, Canonical, ProofTable, TableKey, TableStats, TabledProver,
-    DEFAULT_TABLE_CAPACITY,
-};
-use crate::witness::{self, Witness, Witnessed};
+use crate::constraint::SubtypeConstraint;
+use crate::obs::{Counter, MetricsRegistry, TraceEvent};
+use crate::table::{ProofTable, TableStats, DEFAULT_TABLE_CAPACITY};
 
-/// Default shard-count *hint*. The lock-free store has no stripes, but the
-/// constructors keep accepting the old geometry so existing call sites
-/// (and persisted configs) stay valid; the value is reported back by
-/// [`ShardedProofTable::shard_count`].
-pub const DEFAULT_SHARD_COUNT: usize = 16;
-
-/// A bounded, generation-invalidated proof table shared across threads —
-/// lock-free reads over an epoch-stamped open-addressing store. See the
-/// module docs for the concurrency contract.
+/// A bounded, generation-invalidated proof table shared across threads:
+/// one [`ProofTable`] behind one mutex. See the module docs for the
+/// concurrency contract.
 #[derive(Debug)]
 pub struct ShardedProofTable {
-    store: BucketStore,
-    /// The configured stripe hint, kept for API compatibility.
-    shards: usize,
-    /// The one registry the store reports into (also handed to callers
-    /// via [`Self::metrics`], so a whole invocation can aggregate).
+    table: Mutex<ProofTable>,
+    /// The registry the table reports into, reachable without the lock.
     obs: Arc<MetricsRegistry>,
 }
 
@@ -80,710 +56,157 @@ impl Default for ShardedProofTable {
 }
 
 impl ShardedProofTable {
-    /// A table with [`DEFAULT_SHARD_COUNT`] shards and the default total
-    /// capacity.
+    /// An empty table with the default capacity.
     pub fn new() -> Self {
-        Self::with_config(DEFAULT_SHARD_COUNT, DEFAULT_TABLE_CAPACITY)
+        Self::with_capacity(DEFAULT_TABLE_CAPACITY)
     }
 
     /// A default-sized table reporting into a caller-supplied registry.
     pub fn with_metrics(obs: Arc<MetricsRegistry>) -> Self {
-        Self::with_config_and_metrics(DEFAULT_SHARD_COUNT, DEFAULT_TABLE_CAPACITY, obs)
+        Self::with_capacity_and_metrics(DEFAULT_TABLE_CAPACITY, obs)
     }
 
-    /// A table with `capacity` bucket slots (rounded up to a power of
-    /// two). The `shards` stripe hint is recorded for
-    /// [`Self::shard_count`] but no longer affects layout: the store is
-    /// one open-addressed array with per-bucket micro writer locks.
+    /// An empty table holding at most `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is 0 or `capacity` is 0.
-    pub fn with_config(shards: usize, capacity: usize) -> Self {
-        Self::with_config_and_metrics(shards, capacity, MetricsRegistry::shared())
+    /// Panics if `capacity` is 0.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_capacity_and_metrics(capacity, MetricsRegistry::shared())
     }
 
-    /// Explicit geometry *and* registry.
+    /// Explicit capacity *and* registry.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is 0 or `capacity` is 0.
-    pub fn with_config_and_metrics(
-        shards: usize,
-        capacity: usize,
-        obs: Arc<MetricsRegistry>,
-    ) -> Self {
-        assert!(shards > 0, "a sharded table needs at least one shard");
-        assert!(capacity > 0, "a sharded table needs room for one entry");
+    /// Panics if `capacity` is 0.
+    pub fn with_capacity_and_metrics(capacity: usize, obs: Arc<MetricsRegistry>) -> Self {
         ShardedProofTable {
-            store: BucketStore::new(capacity, obs.clone()),
-            shards,
+            table: Mutex::new(ProofTable::with_capacity_and_metrics(capacity, obs.clone())),
             obs,
         }
     }
 
-    /// The shared metrics registry the store reports into.
+    /// The shared metrics registry the table reports into.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.obs
     }
 
-    /// The configured stripe hint (layout-inert since the lock-free
-    /// rewrite; kept so geometry-aware callers keep compiling).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Total capacity bound (bucket count).
+    /// The capacity bound.
     pub fn capacity(&self) -> usize {
-        self.store.capacity()
+        self.lock().capacity()
     }
 
-    /// Number of cached verdicts live under the current epoch.
+    /// Number of cached verdicts.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.lock().len()
     }
 
-    /// Whether no live verdict is cached.
+    /// Whether no verdict is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Lifetime counters — a lock-free read of the shared registry's
-    /// atomics. Takes **no** shard lock, so a stats poll never serializes
-    /// against working threads (the old implementation locked and merged
-    /// every shard on each read). Concurrent writers may land between the
-    /// individual counter loads; once the workers have joined it is exact.
+    /// Lifetime counters — a read of the registry's atomics that takes no
+    /// lock, so a stats poll never serializes against working threads.
+    /// Concurrent writers may land between the individual counter loads;
+    /// once the workers have joined it is exact.
     pub fn stats(&self) -> TableStats {
-        TableStats {
-            hits: self.obs.get(Counter::TableHits),
-            misses: self.obs.get(Counter::TableMisses),
-            inserts: self.obs.get(Counter::TableInserts),
-            evictions: self.obs.get(Counter::TableEvictions),
-            invalidations: self.obs.get(Counter::TableInvalidations),
-        }
+        TableStats::from_registry(&self.obs)
     }
 
     /// Drops all entries, keeping the counters.
     pub fn clear(&self) {
-        self.store.recover_if_poisoned();
-        self.store.wipe();
+        self.lock().clear();
     }
 
-    /// Fault-injection hook for `slp serve`: flags the table as poisoned,
-    /// standing in for a panic that escaped mid-critical-section in the
-    /// old mutex design (the lock-free store has no critical section a
-    /// panic can interrupt — writers never run user code while holding a
-    /// stamp — but the serve fault harness still proves the
-    /// poison-then-self-heal story end to end). The next access recovers:
-    /// it wipes the cache, counts one [`Counter::TableInvalidations`], and
-    /// traces [`TraceEvent::ShardPoisonRecovered`]; callers re-derive on
-    /// the resulting misses.
-    pub(crate) fn poison_shard_for_fault_injection(&self, index: usize) {
-        self.store.poison(index);
-    }
-
-    /// Looks up a key under the given constraint-set generation — a
-    /// lock-free seqlock-validated probe. Counts a hit or a miss.
-    pub(crate) fn lookup(&self, generation: u64, key: &TableKey) -> Option<CachedVerdict> {
-        self.store.lookup(generation, key)
-    }
-
-    /// Publishes a verdict under the given generation (the stamp recorded
-    /// with the entry is always the deriving theory's). Best-effort: a
-    /// bucket busy under another writer skips the publish.
-    pub(crate) fn insert(&self, generation: u64, key: TableKey, verdict: CachedVerdict) {
-        self.store.insert(generation, key, verdict);
-    }
-
-    /// Per-constraint incremental invalidation: moves the store's epoch to
-    /// the new `generation`, retaining (re-stamping) the entries whose
-    /// evidence survives the theory change instead of clearing wholesale.
-    /// Returns the number of retained entries (also accumulated into
-    /// [`Counter::IncrementalReuse`]).
-    ///
-    /// The soundness conditions on `constraint_unchanged` / `keep_refuted`
-    /// and the signature-prefix precondition are documented on
-    /// [`ProofTable::rescope`]; `slp serve` computes them by diffing the
-    /// old and new constraint lists on each file delta.
+    /// Per-constraint incremental invalidation: moves the table to the new
+    /// `generation`, keeping the entries whose evidence survives the theory
+    /// change (see [`ProofTable::rescope`] for the soundness conditions on
+    /// `constraint_unchanged` / `keep_refuted` and the signature-prefix
+    /// precondition; `slp serve` computes them by diffing the old and new
+    /// constraint lists on each file delta). Returns the number of retained
+    /// entries.
     pub fn rescope(
         &self,
         generation: u64,
         constraint_unchanged: &dyn Fn(usize) -> bool,
         keep_refuted: bool,
     ) -> u64 {
-        self.store
+        self.lock()
             .rescope(generation, constraint_unchanged, keep_refuted)
     }
 
-    /// Audits every live entry the same way
-    /// [`ProofTable::validate_witnesses`] does: replays each cached
-    /// `Proved` chain through [`witness::validate_in`] — no prover —
-    /// returning `(validated, invalid)`. Run after the workers have
-    /// joined for an exact sweep.
+    /// Audits every entry through [`ProofTable::validate_witnesses`]:
+    /// replays each cached `Proved` chain — no prover — returning
+    /// `(validated, invalid)`. Run after the workers have joined for an
+    /// exact sweep.
     pub fn validate_witnesses(
         &self,
         sig: &Signature,
         constraints: &[SubtypeConstraint],
     ) -> (u64, u64) {
-        let mut validated = 0u64;
-        let mut invalid = 0u64;
-        for (key, verdict) in self.store.live_entries() {
-            if let CachedVerdict::Proved(answer, steps) = verdict {
-                let goals: Vec<(Term, Term)> = arena::decode_terms(key.code())
-                    .chunks_exact(2)
-                    .map(|p| (p[0].clone(), p[1].clone()))
-                    .collect();
-                let w = Witness {
-                    goals,
-                    answer,
-                    steps,
-                };
-                if witness::validate_in(sig, constraints, &w).is_ok() {
-                    validated += 1;
-                } else {
-                    invalid += 1;
-                }
+        self.lock().validate_witnesses(sig, constraints)
+    }
+
+    /// Takes the lock, recovering from poison first.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ProofTable> {
+        self.recover(self.table.lock())
+    }
+
+    /// [`Self::lock`], charging `contended` when another thread holds the
+    /// lock and this one has to wait.
+    pub(crate) fn lock_counting(&self, contended: Counter) -> MutexGuard<'_, ProofTable> {
+        match self.table.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => self.recover(Err(poisoned)),
+            Err(TryLockError::WouldBlock) => {
+                self.obs.incr(contended);
+                self.obs.trace(&TraceEvent::ShardContention { shard: 0 });
+                self.lock()
             }
         }
-        self.obs.add(Counter::WitnessValidated, validated);
-        self.obs.add(Counter::WitnessInvalid, invalid);
-        (validated, invalid)
     }
 
-    /// Test hook: holds the writer stamp of `key`'s home bucket while `f`
-    /// runs, staging deterministic contention/retry scenarios.
-    #[cfg(test)]
-    fn with_bucket_locked<R>(&self, key: &TableKey, f: impl FnOnce() -> R) -> R {
-        self.store.with_bucket_locked(key, f)
-    }
-}
-
-/// A caching wrapper around the deterministic [`Prover`] over a shared
-/// [`ShardedProofTable`] — the thread-safe sibling of
-/// [`TabledProver`](crate::TabledProver), with the identical caching
-/// contract (conclusive verdicts only, canonical keys, per-shard generation
-/// invalidation; `Unknown` always falls through).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedProver<'a> {
-    prover: Prover<'a>,
-    cs: &'a CheckedConstraints,
-    table: &'a ShardedProofTable,
-}
-
-impl<'a> ShardedProver<'a> {
-    /// Creates a sharded prover with default limits over a shared table.
-    pub fn new(
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        table: &'a ShardedProofTable,
-    ) -> Self {
-        ShardedProver {
-            prover: Prover::new(sig, cs),
-            cs,
-            table,
-        }
-    }
-
-    /// Creates a sharded prover with explicit limits.
-    pub fn with_config(
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        config: ProverConfig,
-        table: &'a ShardedProofTable,
-    ) -> Self {
-        ShardedProver {
-            prover: Prover::with_config(sig, cs, config),
-            cs,
-            table,
-        }
-    }
-
-    /// The underlying (untabled) prover.
-    pub fn prover(&self) -> Prover<'a> {
-        self.prover
-    }
-
-    /// The shared table.
-    pub fn table(&self) -> &'a ShardedProofTable {
-        self.table
-    }
-
-    /// Sharded [`Prover::subtype`].
-    pub fn subtype(&self, sup: &Term, sub: &Term) -> Proof {
-        self.subtype_all(&[(sup.clone(), sub.clone())])
-    }
-
-    /// Sharded [`Prover::subtype_all`].
-    pub fn subtype_all(&self, goals: &[(Term, Term)]) -> Proof {
-        self.subtype_all_rigid(goals, &BTreeSet::new(), 0)
-    }
-
-    /// Sharded [`Prover::member`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `t` is not ground, like the untabled version.
-    pub fn member(&self, ty: &Term, t: &Term) -> Proof {
-        debug_assert!(t.is_ground(), "membership is defined on ground terms");
-        self.subtype(ty, t)
-    }
-
-    /// Sharded [`Prover::subtype_all_rigid`]: conclusive verdicts for the
-    /// canonical form of `goals` are served from / recorded in the shared
-    /// table; [`Proof::Unknown`] always falls through and is never recorded.
-    ///
-    /// No lock is held during the live proof search, so two workers missing
-    /// on the same key concurrently both derive it and both insert; the
-    /// second insert overwrites the first with an equal verdict (the prover
-    /// is deterministic in canonical space), which is harmless.
-    pub fn subtype_all_rigid(
+    /// A panic unwound while a guard was held, so the entries are not
+    /// trusted: clear them, count the invalidation and lift the poison.
+    fn recover<'g>(
         &self,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-    ) -> Proof {
-        // Fully-ground conjunctions the precomputed closure decides never
-        // reach the canonical-key/shard layer: no renaming, no key, no lock.
-        // Identical to the single-threaded short-circuit in
-        // [`TabledProver::subtype_all_rigid`].
-        match self.cs.ground_closure().decide_goals(goals) {
-            ClosureVerdict::Proved => {
-                let obs = self.table.metrics();
-                obs.incr(Counter::SubtypeGoals);
-                obs.incr(Counter::ClosureHits);
-                return Proof::Proved(Subst::new());
-            }
-            ClosureVerdict::Refuted => {
-                let obs = self.table.metrics();
-                obs.incr(Counter::SubtypeGoals);
-                obs.incr(Counter::ClosureHits);
-                return Proof::Refuted;
-            }
-            ClosureVerdict::Miss => self.table.metrics().incr(Counter::ClosureMisses),
-            ClosureVerdict::NotGround => {}
-        }
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        let obs = self.table.metrics();
-        obs.incr(Counter::SubtypeGoals);
-        obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-        let fingerprint = obs.tracing().then(|| canon.key.fingerprint());
-        if let Some(fp) = &fingerprint {
-            obs.trace(&TraceEvent::SubtypeStart { key: fp });
-        }
-        let finish = |proof: Proof| -> Proof {
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
-                    key: fp,
-                    verdict: verdict_name(&proof),
-                    nanos: elapsed.as_nanos() as u64,
-                });
-            }
-            proof
-        };
-        let generation = self.cs.generation();
-        if let Some(verdict) = self.table.lookup(generation, &canon.key) {
-            return finish(match verdict {
-                CachedVerdict::Refuted => Proof::Refuted,
-                CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-            });
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.insert(generation, canon.key, verdict);
-        }
-        finish(proof)
+        locked: LockResult<MutexGuard<'g, ProofTable>>,
+    ) -> MutexGuard<'g, ProofTable> {
+        locked.unwrap_or_else(|poisoned| {
+            let mut table = poisoned.into_inner();
+            self.table.clear_poison();
+            table.clear();
+            self.obs.incr(Counter::TableInvalidations);
+            self.obs
+                .trace(&TraceEvent::ShardPoisonRecovered { shard: 0 });
+            table
+        })
     }
-
-    /// [`Self::subtype_all_rigid`] with evidence attached — the sharded
-    /// sibling of
-    /// [`TabledProver::subtype_all_rigid_witnessed`](crate::TabledProver::subtype_all_rigid_witnessed):
-    /// `Proved` carries a [`Witness`] whose chain is interned with the
-    /// table entry, `Refuted` a 1-minimal failing core shrunk by re-proving
-    /// under the shared table.
-    pub fn subtype_all_rigid_witnessed(
-        &self,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-    ) -> Witnessed {
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        let obs = self.table.metrics();
-        obs.incr(Counter::SubtypeGoals);
-        obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-        let fingerprint = obs.tracing().then(|| canon.key.fingerprint());
-        if let Some(fp) = &fingerprint {
-            obs.trace(&TraceEvent::SubtypeStart { key: fp });
-        }
-        let finish = |out: Witnessed| -> Witnessed {
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
-                    key: fp,
-                    verdict: verdict_name(&out.proof()),
-                    nanos: elapsed.as_nanos() as u64,
-                });
-            }
-            out
-        };
-        let emit = |witness: Witness| -> Witnessed {
-            obs.incr(Counter::WitnessEmitted);
-            Witnessed::Proved(witness)
-        };
-        let generation = self.cs.generation();
-        match self.table.lookup(generation, &canon.key) {
-            Some(CachedVerdict::Proved(answer, steps)) => finish(emit(Witness {
-                goals: goals.to_vec(),
-                answer: canon.decode_answer(&answer),
-                steps,
-            })),
-            Some(CachedVerdict::Refuted) => finish(Witnessed::Refuted {
-                core: self.shrink_refuted(goals, rigid, var_watermark),
-            }),
-            None => {
-                let (proof, steps) =
-                    self.prover
-                        .subtype_all_rigid_traced(goals, rigid, var_watermark);
-                match proof {
-                    Proof::Proved(answer) => {
-                        let steps = Arc::new(steps);
-                        if let Some(encoded) = canon.encode_answer(&answer) {
-                            self.table.insert(
-                                generation,
-                                canon.key,
-                                CachedVerdict::Proved(encoded, steps.clone()),
-                            );
-                        }
-                        finish(emit(Witness {
-                            goals: goals.to_vec(),
-                            answer,
-                            steps,
-                        }))
-                    }
-                    Proof::Refuted => {
-                        self.table
-                            .insert(generation, canon.key, CachedVerdict::Refuted);
-                        finish(Witnessed::Refuted {
-                            core: self.shrink_refuted(goals, rigid, var_watermark),
-                        })
-                    }
-                    Proof::Unknown => finish(Witnessed::Unknown),
-                }
-            }
-        }
-    }
-
-    /// Greedy core shrinking for a refuted conjunction, deciding every
-    /// candidate sub-conjunction through [`Self::subtype_all_rigid_quiet`].
-    fn shrink_refuted(
-        &self,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-    ) -> Vec<usize> {
-        let core = witness::shrink_core(goals, |subset| {
-            self.subtype_all_rigid_quiet(subset, rigid, var_watermark)
-                .is_refuted()
-        });
-        self.table
-            .metrics()
-            .add(Counter::RefutedCoreSize, core.len() as u64);
-        core
-    }
-
-    /// The tabled judgement with no query instrumentation — see
-    /// [`TabledProver`]'s quiet variant for the rationale.
-    pub(crate) fn subtype_all_rigid_quiet(
-        &self,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-    ) -> Proof {
-        // Quiet means quiet: the closure short-circuit skips even its own
-        // counters here, so shrink traffic never moves `closure_hits`.
-        match self.cs.ground_closure().decide_goals(goals) {
-            ClosureVerdict::Proved => return Proof::Proved(Subst::new()),
-            ClosureVerdict::Refuted => return Proof::Refuted,
-            ClosureVerdict::Miss | ClosureVerdict::NotGround => {}
-        }
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        let generation = self.cs.generation();
-        if let Some(verdict) = self.table.lookup(generation, &canon.key) {
-            return match verdict {
-                CachedVerdict::Refuted => Proof::Refuted,
-                CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-            };
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.insert(generation, canon.key, verdict);
-        }
-        proof
-    }
-
-    /// Decides a batch of *independent* subtype goals, one verdict per goal
-    /// in input order, proving in canonical-key order so alpha-variant
-    /// repeats hit (see [`TabledProver::subtype_batch`]).
-    pub fn subtype_batch(&self, goals: &[(Term, Term)]) -> Vec<Proof> {
-        let no_rigid = BTreeSet::new();
-        let closure = self.cs.ground_closure();
-        // Closure-decidable goals are answered directly (inside `subtype`,
-        // which short-circuits before building any key); only the remainder
-        // pays for canonical keys and the duplicate-adjacency sort.
-        let mut out: Vec<Option<Proof>> = vec![None; goals.len()];
-        let mut open: Vec<usize> = Vec::new();
-        for (i, g) in goals.iter().enumerate() {
-            match closure.decide_goals(std::slice::from_ref(g)) {
-                ClosureVerdict::Proved | ClosureVerdict::Refuted => {
-                    out[i] = Some(self.subtype(&g.0, &g.1));
-                }
-                ClosureVerdict::Miss | ClosureVerdict::NotGround => open.push(i),
-            }
-        }
-        let keys: Vec<TableKey> = open
-            .iter()
-            .map(|&i| Canonical::of(std::slice::from_ref(&goals[i]), &no_rigid, 0).key)
-            .collect();
-        let mut by_key: Vec<usize> = (0..open.len()).collect();
-        by_key.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        for k in by_key {
-            let i = open[k];
-            let (sup, sub) = &goals[i];
-            out[i] = Some(self.subtype(sup, sub));
-        }
-        out.into_iter()
-            .map(|p| p.expect("every goal index was visited"))
-            .collect()
-    }
-}
-
-/// Which proof-table backend (if any) a matcher or checker proves through.
-///
-/// This is the single plumbing point for tabling: the constraint-generating
-/// matcher ([`crate::cmatch::CMatcher`]) and the well-typedness checker
-/// ([`crate::welltyped::Checker`]) hold a `TableHandle` and dispatch every
-/// deferred-commitment conjunction through it. `Local` wraps the
-/// single-threaded [`ProofTable`]; `Sharded` is safe to use from many
-/// threads at once.
-#[derive(Debug, Clone, Copy)]
-pub enum TableHandle<'a> {
-    /// No memoization: every conjunction is derived live.
-    Untabled,
-    /// The single-threaded table (not `Sync`; one thread only).
-    Local(&'a RefCell<ProofTable>),
-    /// The lock-striped concurrent table.
-    Sharded(&'a ShardedProofTable),
-}
-
-impl<'a> TableHandle<'a> {
-    /// Proves a subtype conjunction through the selected backend.
-    pub fn subtype_all_rigid(
-        &self,
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-    ) -> Proof {
-        self.subtype_all_rigid_obs(sig, cs, goals, rigid, var_watermark, None)
-    }
-
-    /// [`Self::subtype_all_rigid`] with explicit observability for the
-    /// untabled path.
-    ///
-    /// The `Local` and `Sharded` backends account into *their table's*
-    /// registry (wire the table to the invocation-wide registry and the
-    /// numbers aggregate there — see [`ProofTable::with_metrics`]); `obs`
-    /// is consulted only by the `Untabled` arm, which otherwise has no
-    /// registry to report the goal into.
-    pub fn subtype_all_rigid_obs(
-        &self,
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-        obs: Option<&MetricsRegistry>,
-    ) -> Proof {
-        match self {
-            TableHandle::Untabled => {
-                // Even without a memo table the ground closure answers
-                // fully-ground conjunctions without a derivation.
-                match cs.ground_closure().decide_goals(goals) {
-                    ClosureVerdict::Proved => {
-                        if let Some(o) = obs {
-                            o.incr(Counter::SubtypeGoals);
-                            o.incr(Counter::ClosureHits);
-                        }
-                        return Proof::Proved(Subst::new());
-                    }
-                    ClosureVerdict::Refuted => {
-                        if let Some(o) = obs {
-                            o.incr(Counter::SubtypeGoals);
-                            o.incr(Counter::ClosureHits);
-                        }
-                        return Proof::Refuted;
-                    }
-                    ClosureVerdict::Miss => {
-                        if let Some(o) = obs {
-                            o.incr(Counter::ClosureMisses);
-                        }
-                    }
-                    ClosureVerdict::NotGround => {}
-                }
-                let started = Instant::now();
-                if let Some(o) = obs {
-                    o.incr(Counter::SubtypeGoals);
-                }
-                let fingerprint = obs.filter(|o| o.tracing()).map(|o| {
-                    let fp = Canonical::of(goals, rigid, var_watermark).key.fingerprint();
-                    o.trace(&TraceEvent::SubtypeStart { key: &fp });
-                    fp
-                });
-                let proof = Prover::new(sig, cs).subtype_all_rigid(goals, rigid, var_watermark);
-                if let Some(o) = obs {
-                    let elapsed = started.elapsed();
-                    o.observe(Timer::SubtypeProve, elapsed);
-                    if let Some(fp) = &fingerprint {
-                        o.trace(&TraceEvent::SubtypeEnd {
-                            key: fp,
-                            verdict: verdict_name(&proof),
-                            nanos: elapsed.as_nanos() as u64,
-                        });
-                    }
-                }
-                proof
-            }
-            TableHandle::Local(table) => {
-                TabledProver::new(sig, cs, table).subtype_all_rigid(goals, rigid, var_watermark)
-            }
-            TableHandle::Sharded(table) => {
-                ShardedProver::new(sig, cs, table).subtype_all_rigid(goals, rigid, var_watermark)
-            }
-        }
-    }
-
-    /// Proves a subtype conjunction with evidence attached: `Proved` carries
-    /// a replayable [`Witness`], `Refuted` a 1-minimal failing core. The
-    /// `Local` and `Sharded` backends account into their table's registry;
-    /// `obs` is consulted only by the `Untabled` arm (which shrinks cores by
-    /// live re-proving — there is no memo table to lean on).
-    pub fn subtype_all_rigid_witnessed_obs(
-        &self,
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        goals: &[(Term, Term)],
-        rigid: &BTreeSet<Var>,
-        var_watermark: u32,
-        obs: Option<&MetricsRegistry>,
-    ) -> Witnessed {
-        match self {
-            TableHandle::Untabled => {
-                let started = Instant::now();
-                if let Some(o) = obs {
-                    o.incr(Counter::SubtypeGoals);
-                }
-                let fingerprint = obs.filter(|o| o.tracing()).map(|o| {
-                    let fp = Canonical::of(goals, rigid, var_watermark).key.fingerprint();
-                    o.trace(&TraceEvent::SubtypeStart { key: &fp });
-                    fp
-                });
-                let prover = Prover::new(sig, cs);
-                let (proof, steps) = prover.subtype_all_rigid_traced(goals, rigid, var_watermark);
-                if let Some(o) = obs {
-                    let elapsed = started.elapsed();
-                    o.observe(Timer::SubtypeProve, elapsed);
-                    if let Some(fp) = &fingerprint {
-                        o.trace(&TraceEvent::SubtypeEnd {
-                            key: fp,
-                            verdict: verdict_name(&proof),
-                            nanos: elapsed.as_nanos() as u64,
-                        });
-                    }
-                }
-                match proof {
-                    Proof::Proved(answer) => {
-                        if let Some(o) = obs {
-                            o.incr(Counter::WitnessEmitted);
-                        }
-                        Witnessed::Proved(Witness {
-                            goals: goals.to_vec(),
-                            answer,
-                            steps: Arc::new(steps),
-                        })
-                    }
-                    Proof::Refuted => {
-                        let core = witness::shrink_core(goals, |subset| {
-                            prover
-                                .subtype_all_rigid(subset, rigid, var_watermark)
-                                .is_refuted()
-                        });
-                        if let Some(o) = obs {
-                            o.add(Counter::RefutedCoreSize, core.len() as u64);
-                        }
-                        Witnessed::Refuted { core }
-                    }
-                    Proof::Unknown => Witnessed::Unknown,
-                }
-            }
-            TableHandle::Local(table) => TabledProver::new(sig, cs, table)
-                .subtype_all_rigid_witnessed(goals, rigid, var_watermark),
-            TableHandle::Sharded(table) => ShardedProver::new(sig, cs, table)
-                .subtype_all_rigid_witnessed(goals, rigid, var_watermark),
-        }
-    }
-
-    /// Audits whatever table this handle wraps through its
-    /// `validate_witnesses`; `Untabled` has nothing to audit and reports
-    /// `(0, 0)`.
-    pub fn validate_witnesses(
-        &self,
-        sig: &Signature,
-        constraints: &[SubtypeConstraint],
-    ) -> (u64, u64) {
-        match self {
-            TableHandle::Untabled => (0, 0),
-            TableHandle::Local(table) => table.borrow().validate_witnesses(sig, constraints),
-            TableHandle::Sharded(table) => table.validate_witnesses(sig, constraints),
-        }
-    }
-}
-
-/// A `Subst` for answers is `Send`; sanity-pin the auto traits the parallel
-/// checker relies on.
-#[allow(dead_code)]
-fn assert_auto_traits() {
-    fn is_send_sync<T: Send + Sync>() {}
-    is_send_sync::<ShardedProofTable>();
-    let _ = is_send_sync::<Subst>;
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::time::{Duration, Instant};
+
+    use lp_term::Term;
+
     use super::*;
     use crate::prover::tests::world;
+    use crate::prover::Prover;
+    use crate::table::{CachedVerdict, Canonical, TableHandle};
+    use crate::TabledProver;
+
+    /// Spins until `done` holds, failing the test after five seconds.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn alpha_variant_queries_share_one_entry_across_threads() {
@@ -795,7 +218,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let p = ShardedProver::new(&w.sig, &w.cs, &table);
+                    let p = TabledProver::new(&w.sig, &w.cs, &table);
                     assert!(p.subtype(&list_a, &nelist_b).is_proved());
                 });
             }
@@ -803,17 +226,17 @@ mod tests {
         let stats = table.stats();
         assert_eq!(stats.hits + stats.misses, 4, "every call counted");
         assert!(stats.hits >= 1, "repeats hit: {stats:?}");
-        assert_eq!(table.len(), 1, "one shared entry across all shards");
+        assert_eq!(table.len(), 1, "one shared entry across all threads");
     }
 
     #[test]
     fn distinct_goals_spread_without_collisions() {
         // Parameterized supertypes sit outside the nullary ground closure,
-        // so these goals genuinely exercise the shards (fully nullary goals
+        // so these goals genuinely exercise the table (fully nullary goals
         // short-circuit before any lock).
         let w = world();
-        let table = ShardedProofTable::with_config(4, 64);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(64);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
@@ -822,7 +245,6 @@ mod tests {
         assert!(p.subtype(&nelist_int, &elist).is_refuted());
         assert!(p.subtype(&list_nat, &elist).is_proved());
         assert_eq!(table.len(), 3);
-        // Repeats hit regardless of which shard each verdict landed on.
         assert!(p.subtype(&nelist_int, &elist).is_refuted());
         assert_eq!(table.stats().hits, 1);
     }
@@ -832,7 +254,7 @@ mod tests {
         let w1 = world();
         let w2 = world();
         assert_ne!(w1.cs.generation(), w2.cs.generation());
-        let table = ShardedProofTable::with_config(4, 64);
+        let table = ShardedProofTable::with_capacity(64);
         let goals_of = |w: &crate::prover::tests::World| {
             vec![
                 (
@@ -850,16 +272,15 @@ mod tests {
             ]
         };
         {
-            let p = ShardedProver::new(&w1.sig, &w1.cs, &table);
+            let p = TabledProver::new(&w1.sig, &w1.cs, &table);
             for (sup, sub) in goals_of(&w1) {
                 p.subtype(&sup, &sub);
             }
             assert_eq!(table.len(), 3);
         }
         {
-            // The same-looking queries under the new theory must all miss:
-            // each shard is realigned on first touch.
-            let p = ShardedProver::new(&w2.sig, &w2.cs, &table);
+            // The same-looking queries under the new theory must all miss.
+            let p = TabledProver::new(&w2.sig, &w2.cs, &table);
             let goals = goals_of(&w2);
             assert!(p.subtype(&goals[0].0, &goals[0].1).is_proved());
             assert!(p.subtype(&goals[1].0, &goals[1].1).is_proved());
@@ -873,9 +294,8 @@ mod tests {
     #[test]
     fn per_shard_capacity_bounds_the_total() {
         let w = world();
-        // 2 shards × 1 entry each.
-        let table = ShardedProofTable::with_config(2, 2);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(2);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let elems = [w.int, w.nat, w.unnat, w.elist];
         let subs = [Term::constant(w.elist), Term::constant(w.nil)];
         for elem in elems {
@@ -897,7 +317,7 @@ mod tests {
     fn sharded_and_untabled_agree_on_the_paper_world() {
         let mut w = world();
         let table = ShardedProofTable::new();
-        let sharded = ShardedProver::new(&w.sig, &w.cs, &table);
+        let sharded = TabledProver::new(&w.sig, &w.cs, &table);
         let untabled = Prover::new(&w.sig, &w.cs);
         let a = w.gen.fresh();
         let cases = vec![
@@ -928,90 +348,111 @@ mod tests {
         }
     }
 
-    /// Regression test for the stats-merge bug: `stats()` used to lock and
-    /// merge every shard on each read, so a poll while a worker held any
-    /// shard lock would block (and a poll loop would serialize the pool).
-    /// Now it reads counters only, and must complete even while a writer
-    /// stamp is held on the hot bucket.
+    /// `stats()` reads counters only, so it must complete while another
+    /// thread holds the table's lock.
     #[test]
     fn stats_reads_take_no_shard_locks() {
         let w = world();
-        let table = ShardedProofTable::with_config(4, 64);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(64);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let elist = Term::constant(w.elist);
         p.subtype(&list_int, &elist);
         let before = table.stats();
         assert_eq!(before.misses, 1);
 
-        // Hold the populated entry's bucket under a writer stamp, then
-        // read stats from another thread; any bucket acquisition in
-        // stats() would spin and the recv below would time out.
-        let key = Canonical::of(&[(list_int, elist)], &BTreeSet::new(), 0).key;
-        table.with_bucket_locked(&key, || {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    tx.send(table.stats()).expect("receiver alive");
-                });
-                let polled = rx
-                    .recv_timeout(std::time::Duration::from_secs(5))
-                    .expect("stats() completed without touching buckets");
-                assert_eq!(polled, before);
+        // Hold the lock, then read stats from another thread; a stats()
+        // that locked would block and the recv below would time out.
+        let guard = table.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                tx.send(table.stats()).expect("receiver alive");
             });
+            let polled = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("stats() completed without taking the lock");
+            assert_eq!(polled, before);
         });
+        drop(guard);
     }
 
-    /// A bucket busy under a writer cannot block a prover: the lookup
-    /// retries its seqlock read, degrades to a miss, the verdict is
-    /// re-derived, and the publish is skipped — counting both the read
-    /// retries and the contention.
+    /// A lookup or insert that finds the lock held by another thread counts
+    /// the wait (read retry for a lookup, contention for an insert), then
+    /// blocks and completes correctly once the lock is released.
     #[test]
     fn contended_locks_are_counted() {
         let w = world();
-        let table = ShardedProofTable::with_config(1, 64);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(64);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let elist = Term::constant(w.elist);
-        p.subtype(&list_int, &elist);
-        assert_eq!(table.metrics().get(Counter::ShardContention), 0);
-        let key = Canonical::of(&[(list_int.clone(), elist.clone())], &BTreeSet::new(), 0).key;
-        let verdict = table.with_bucket_locked(&key, || p.subtype(&list_int, &elist));
-        assert!(verdict.is_proved(), "busy bucket still answers correctly");
-        assert!(table.metrics().get(Counter::ShardContention) >= 1);
-        assert!(table.metrics().get(Counter::TableReadRetries) > 0);
+        TabledProver::new(&w.sig, &w.cs, &table).subtype(&list_int, &elist);
+        let obs = table.metrics();
+        assert_eq!(obs.get(Counter::ShardContention), 0);
+        assert_eq!(obs.get(Counter::TableReadRetries), 0);
+        std::thread::scope(|scope| {
+            let guard = table.lock();
+            let worker =
+                scope.spawn(|| TabledProver::new(&w.sig, &w.cs, &table).subtype(&list_int, &elist));
+            wait_until(|| obs.get(Counter::TableReadRetries) > 0);
+            drop(guard);
+            let verdict = worker.join().expect("worker finished");
+            assert!(verdict.is_proved(), "a held lock still answers correctly");
+        });
+        let key = Canonical::of(&[(elist.clone(), list_int)], &BTreeSet::new(), 0).key;
+        let generation = w.cs.generation();
+        std::thread::scope(|scope| {
+            let guard = table.lock();
+            let worker = scope.spawn(|| {
+                TableHandle::Shared(&table).insert(generation, key.clone(), CachedVerdict::Refuted);
+            });
+            wait_until(|| obs.get(Counter::ShardContention) > 0);
+            drop(guard);
+            worker.join().expect("worker finished");
+        });
+        assert_eq!(
+            TableHandle::Shared(&table).lookup(generation, &key),
+            Some(CachedVerdict::Refuted),
+            "the blocked insert landed"
+        );
     }
 
     #[test]
     fn poisoned_shard_recovers_and_keeps_checking() {
         let w = world();
-        let table = ShardedProofTable::with_config(1, 64);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(64);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
         assert!(p.subtype(&list_int, &elist).is_proved());
         assert_eq!(table.len(), 1, "warm entry before the fault");
-        // Inject the fault the serve harness models: a request panic
-        // escaped mid-check, so the cache state is no longer trusted.
-        table.poison_shard_for_fault_injection(0);
+        // A panic unwinds while holding the guard: the mutex is poisoned
+        // and the cache state is no longer trusted.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = table.lock();
+            panic!("injected panic under the table lock");
+        }));
+        assert!(panicked.is_err());
+        assert!(table.table.is_poisoned());
         let invalidations_before = table.metrics().get(Counter::TableInvalidations);
-        // Every later access must recover (wipe + unflag), not panic or
-        // error forever, and verdicts must come back correct.
+        // Every later access must recover (clear + lift the poison), not
+        // panic or error forever, and verdicts must come back correct.
         assert!(p.subtype(&list_int, &elist).is_proved());
         assert!(p.subtype(&nelist_int, &elist).is_refuted());
         assert!(
             table.metrics().get(Counter::TableInvalidations) > invalidations_before,
             "recovery is counted as an invalidation"
         );
+        assert!(!table.table.is_poisoned(), "the poison was lifted");
         assert_eq!(table.len(), 2, "table rebuilt after poison recovery");
     }
 
     #[test]
     fn rescope_retains_across_shards() {
         let w = world();
-        let table = ShardedProofTable::with_config(4, 64);
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let table = ShardedProofTable::with_capacity(64);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let list_nat = Term::app(w.list, vec![Term::constant(w.nat)]);
@@ -1037,7 +478,7 @@ mod tests {
         assert_eq!(table.metrics().get(Counter::IncrementalReuse), 2);
         // The survivors are served as hits under the new theory.
         let misses = table.stats().misses;
-        let p2 = ShardedProver::new(&w.sig, &cs2, &table);
+        let p2 = TabledProver::new(&w.sig, &cs2, &table);
         assert!(p2.subtype(&list_int, &elist).is_proved());
         assert_eq!(table.stats().misses, misses, "retained entry hits");
     }
@@ -1045,14 +486,14 @@ mod tests {
     #[test]
     fn concurrent_mixed_workload_stays_consistent() {
         let w = world();
-        let table = ShardedProofTable::with_config(4, 128);
+        let table = ShardedProofTable::with_capacity(128);
         let syms = [w.int, w.nat, w.unnat, w.elist];
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let table = &table;
                 let w = &w;
                 scope.spawn(move || {
-                    let p = ShardedProver::new(&w.sig, &w.cs, table);
+                    let p = TabledProver::new(&w.sig, &w.cs, table);
                     // Each worker walks the judgement square from a
                     // different offset, so workers race on the same keys.
                     // `list(..)` supertypes keep every goal on the table
@@ -1076,14 +517,14 @@ mod tests {
         assert!(table.len() <= table.capacity());
     }
 
-    /// Satellite regression: an all-ground nullary batch is decided entirely
-    /// by the precomputed closure — no canonical keys, no shard locks, no
-    /// table traffic, and therefore zero contention even under threads.
+    /// An all-ground nullary batch is decided entirely by the precomputed
+    /// closure — no canonical keys, no lock, no table traffic, and
+    /// therefore zero contention even under threads.
     #[test]
     fn all_ground_batch_never_touches_a_shard() {
         let w = world();
         let table = ShardedProofTable::new();
-        let p = ShardedProver::new(&w.sig, &w.cs, &table);
+        let p = TabledProver::new(&w.sig, &w.cs, &table);
         let goals: Vec<(Term, Term)> = vec![
             (Term::constant(w.int), Term::constant(w.nat)),
             (Term::constant(w.nat), Term::constant(w.int)),
@@ -1102,28 +543,54 @@ mod tests {
         assert_eq!(obs.get(Counter::ClosureMisses), 0);
         assert_eq!(obs.get(Counter::ArenaTerms), 0, "no keys were encoded");
         let stats = table.stats();
-        assert_eq!(stats.hits + stats.misses, 0, "no shard was consulted");
+        assert_eq!(stats.hits + stats.misses, 0, "the table was not consulted");
         assert_eq!(stats.inserts, 0);
         assert_eq!(table.len(), 0);
         assert_eq!(obs.get(Counter::ShardContention), 0);
 
-        // Threaded: every worker takes the lock-free path, so contention
-        // stays exactly zero no matter how the scheduler interleaves them.
+        // Threaded: no worker takes the lock, so contention stays exactly
+        // zero no matter how the scheduler interleaves them.
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let table = &table;
                 let w = &w;
                 let goals = &goals;
                 scope.spawn(move || {
-                    let p = ShardedProver::new(&w.sig, &w.cs, table);
+                    let p = TabledProver::new(&w.sig, &w.cs, table);
                     for (sup, sub) in goals {
                         assert!(!p.subtype(sup, sub).is_unknown());
                     }
                 });
             }
         });
-        assert_eq!(obs.get(Counter::ShardContention), 0, "lock-free path");
+        assert_eq!(obs.get(Counter::ShardContention), 0, "no lock taken");
         assert_eq!(table.len(), 0, "still no entries after threaded run");
         assert_eq!(obs.get(Counter::ClosureHits), 5 * goals.len() as u64);
+    }
+
+    /// Entries live under the generation they were stored under: a lookup
+    /// under another generation misses and clears them.
+    #[test]
+    fn store_round_trips_under_epochs() {
+        let w = world();
+        let table = ShardedProofTable::with_capacity(64);
+        let handle = TableHandle::Shared(&table);
+        let key = Canonical::of(
+            &[(
+                Term::app(w.list, vec![Term::Var(lp_term::Var(3))]),
+                Term::constant(w.elist),
+            )],
+            &BTreeSet::new(),
+            0,
+        )
+        .key;
+        assert!(handle.lookup(7, &key).is_none());
+        handle.insert(7, key.clone(), CachedVerdict::Refuted);
+        assert_eq!(handle.lookup(7, &key), Some(CachedVerdict::Refuted));
+        assert_eq!(table.len(), 1);
+        // A different generation kills the entry.
+        assert!(handle.lookup(8, &key).is_none());
+        assert_eq!(table.len(), 0);
+        assert!(table.metrics().get(Counter::TableInvalidations) >= 1);
     }
 }

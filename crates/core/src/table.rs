@@ -41,10 +41,23 @@
 //! [`crate::constraint::next_generation`]); the table remembers the stamp its
 //! entries were derived under and wholesale-clears itself whenever it is used
 //! with a differently-stamped theory. Stamps are unique across sets, so a
-//! table can be shared (sequentially) between worlds without ever serving a
-//! stale verdict. The *signature* is assumed fixed once proving starts —
-//! declaring new symbols mid-stream without touching the constraint set is
-//! not detected (and nothing in this crate does so).
+//! table can be shared between worlds without ever serving a stale verdict.
+//! An insert names the generation its verdict was derived under and is
+//! dropped when the table has moved on since the lookup that missed, so a
+//! worker whose proof raced another theory's lookup cannot plant its verdict
+//! under the wrong stamp. The *signature* is assumed fixed once proving
+//! starts — declaring new symbols mid-stream without touching the constraint
+//! set is not detected (and nothing in this crate does so).
+//!
+//! # One store, three handles
+//!
+//! [`ProofTable`] is the only store. A [`TableHandle`] says how a prover
+//! reaches it: not at all (`Untabled`), through a `RefCell` on one thread
+//! (`Local`), or through the mutex of a
+//! [`ShardedProofTable`](crate::ShardedProofTable) shared by worker threads
+//! (`Shared`). [`TabledProver`] is the one tabled implementation over all
+//! three; it borrows the table only for a probe or a write, never during a
+//! live proof search.
 //!
 //! # Bounded size
 //!
@@ -74,6 +87,7 @@ use crate::closure::ClosureVerdict;
 use crate::constraint::{CheckedConstraints, SubtypeConstraint};
 use crate::obs::{Counter, MetricsRegistry, Timer, TraceEvent};
 use crate::prover::{Proof, Prover, ProverConfig};
+use crate::shard::ShardedProofTable;
 use crate::witness::{self, Step, Witness, Witnessed};
 
 /// Default bound on the number of cached verdicts.
@@ -96,25 +110,6 @@ pub(crate) struct TableKey {
 }
 
 impl TableKey {
-    /// Reassembles a key from its flat parts — the inverse of
-    /// [`TableKey::code`]/[`TableKey::rigid`], used when the lock-free
-    /// sharded table decodes an entry back out of its atomic bucket words.
-    pub(crate) fn from_parts(code: Vec<u32>, rigid: Vec<Var>) -> TableKey {
-        TableKey { code, rigid }
-    }
-
-    /// The canonical flat code stream (word-level view for the lock-free
-    /// table's bucket encoding).
-    pub(crate) fn code(&self) -> &[u32] {
-        &self.code
-    }
-
-    /// The sorted canonical rigid variables (word-level view for the
-    /// lock-free table's bucket encoding).
-    pub(crate) fn rigid(&self) -> &[Var] {
-        &self.rigid
-    }
-
     /// A compact, human-scannable rendering for trace logs: symbols print
     /// as `s<index>` (the signature is not in scope here), canonical
     /// variables as `_<n>`, goals as `sup>=sub` joined with `&`, followed
@@ -185,9 +180,9 @@ pub(crate) enum CachedVerdict {
 ///
 /// Since PR 5 this is a read-only *view*: the live tallies are atomic
 /// counters in the table's [`MetricsRegistry`], and [`ProofTable::stats`]
-/// snapshots them into this struct. Tables sharing one registry (e.g. the
-/// shards of a [`crate::ShardedProofTable`]) therefore report one merged
-/// set of numbers with no per-read locking or merging.
+/// snapshots them into this struct. Tables sharing one registry therefore
+/// report one merged set of numbers, and reading them never takes a
+/// [`crate::ShardedProofTable`]'s lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Lookups answered from the table.
@@ -203,6 +198,17 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Reads the table counters out of `obs` (relaxed loads, no lock).
+    pub(crate) fn from_registry(obs: &MetricsRegistry) -> Self {
+        TableStats {
+            hits: obs.get(Counter::TableHits),
+            misses: obs.get(Counter::TableMisses),
+            inserts: obs.get(Counter::TableInserts),
+            evictions: obs.get(Counter::TableEvictions),
+            invalidations: obs.get(Counter::TableInvalidations),
+        }
+    }
+
     /// Fraction of lookups answered from the table, in `[0, 1]` (0 when no
     /// lookups happened).
     pub fn hit_rate(&self) -> f64 {
@@ -219,8 +225,9 @@ impl TableStats {
 /// generation. See the module docs for the caching contract.
 ///
 /// The table itself is passive storage; [`TabledProver`] drives it. Share one
-/// table per world (e.g. behind a [`RefCell`]) across the checker, the
-/// matcher and the auditor to maximize reuse.
+/// table per world (behind a [`RefCell`], or a
+/// [`ShardedProofTable`] across threads) between the checker, the matcher
+/// and the auditor to maximize reuse.
 #[derive(Debug)]
 pub struct ProofTable {
     entries: HashMap<TableKey, CachedVerdict>,
@@ -327,13 +334,7 @@ impl ProofTable {
     /// The lifetime counters (never reset by clears or invalidations) — a
     /// lock-free view over the table's [`MetricsRegistry`].
     pub fn stats(&self) -> TableStats {
-        TableStats {
-            hits: self.obs.get(Counter::TableHits),
-            misses: self.obs.get(Counter::TableMisses),
-            inserts: self.obs.get(Counter::TableInserts),
-            evictions: self.obs.get(Counter::TableEvictions),
-            invalidations: self.obs.get(Counter::TableInvalidations),
-        }
+        TableStats::from_registry(&self.obs)
     }
 
     /// Drops all entries, keeping the counters.
@@ -448,7 +449,10 @@ impl ProofTable {
         }
     }
 
-    /// Stores a verdict, evicting the oldest entry when at capacity.
+    /// Stores a verdict derived under `generation`, evicting the oldest entry
+    /// when at capacity. A verdict whose generation is not the table's
+    /// current one is dropped: on a shared table another theory's lookup can
+    /// move the table between this verdict's miss and its insert.
     ///
     /// Re-inserting a key that is already present *updates the verdict in
     /// place* — without enqueuing a second FIFO slot — and moves the key to
@@ -460,7 +464,10 @@ impl ProofTable {
     /// for queue slots whose key was already gone, and — because each insert
     /// pops at most one slot — let the table overshoot its capacity while
     /// evicting live entries early.
-    pub(crate) fn insert(&mut self, key: TableKey, verdict: CachedVerdict) {
+    pub(crate) fn insert(&mut self, generation: u64, key: TableKey, verdict: CachedVerdict) {
+        if generation != self.generation {
+            return;
+        }
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = verdict;
             if let Some(pos) = self.order.iter().position(|k| k == &key) {
@@ -643,34 +650,122 @@ impl Canonical {
     }
 }
 
+/// Which proof table, if any, a [`TabledProver`] memoizes through.
+///
+/// Every arm reaches the same store, a [`ProofTable`]: `Local` through a
+/// `RefCell` on one thread, `Shared` through the mutex of a
+/// [`ShardedProofTable`] that worker threads share. The constraint matcher
+/// ([`crate::cmatch::CMatcher`]) and the well-typedness checker
+/// ([`crate::welltyped::Checker`]) hold a `TableHandle` and prove every
+/// deferred-commitment conjunction through a [`TabledProver`] over it.
+#[derive(Debug, Clone, Copy)]
+pub enum TableHandle<'a> {
+    /// No memoization: every conjunction is derived live.
+    Untabled,
+    /// A single-threaded table (not `Sync`; one thread only).
+    Local(&'a RefCell<ProofTable>),
+    /// A table shared by worker threads.
+    Shared(&'a ShardedProofTable),
+}
+
+impl<'a> From<&'a RefCell<ProofTable>> for TableHandle<'a> {
+    fn from(table: &'a RefCell<ProofTable>) -> Self {
+        TableHandle::Local(table)
+    }
+}
+
+impl<'a> From<&'a ShardedProofTable> for TableHandle<'a> {
+    fn from(table: &'a ShardedProofTable) -> Self {
+        TableHandle::Shared(table)
+    }
+}
+
+impl TableHandle<'_> {
+    /// Lends the table to `f` for one probe or write; `None` when untabled.
+    /// A shared table whose lock is busy charges `contended` before
+    /// blocking.
+    fn with_table<R>(&self, contended: Counter, f: impl FnOnce(&mut ProofTable) -> R) -> Option<R> {
+        match self {
+            TableHandle::Untabled => None,
+            TableHandle::Local(table) => Some(f(&mut table.borrow_mut())),
+            TableHandle::Shared(table) => Some(f(&mut table.lock_counting(contended))),
+        }
+    }
+
+    /// Looks `key` up under `generation`, first aligning the table with it.
+    pub(crate) fn lookup(&self, generation: u64, key: &TableKey) -> Option<CachedVerdict> {
+        self.with_table(Counter::TableReadRetries, |table| {
+            table.ensure_generation(generation);
+            table.lookup(key)
+        })
+        .flatten()
+    }
+
+    /// Stores a verdict derived under `generation` (see [`ProofTable::insert`]).
+    pub(crate) fn insert(&self, generation: u64, key: TableKey, verdict: CachedVerdict) {
+        self.with_table(Counter::ShardContention, |table| {
+            table.insert(generation, key, verdict)
+        });
+    }
+
+    /// Audits the table through [`ProofTable::validate_witnesses`];
+    /// `Untabled` has nothing to audit and reports `(0, 0)`.
+    pub fn validate_witnesses(
+        &self,
+        sig: &Signature,
+        constraints: &[SubtypeConstraint],
+    ) -> (u64, u64) {
+        match self {
+            TableHandle::Untabled => (0, 0),
+            TableHandle::Local(table) => table.borrow().validate_witnesses(sig, constraints),
+            TableHandle::Shared(table) => table.validate_witnesses(sig, constraints),
+        }
+    }
+}
+
+/// The timer start and trace name of one instrumented judgement.
+struct Span {
+    started: Instant,
+    /// The canonical fingerprint, rendered only when someone traces.
+    fingerprint: Option<String>,
+}
+
 /// A caching wrapper around the deterministic [`Prover`], mirroring its API.
 ///
 /// Every conclusive verdict is recorded in (and, for repeats, served from)
-/// the shared [`ProofTable`]; the table's generation is checked against the
-/// constraint set on every call, so mutating the world — building a new
-/// [`ConstraintSet`](crate::ConstraintSet) — transparently invalidates it.
+/// the table behind a [`TableHandle`]; the table's generation is checked
+/// against the constraint set on every call, so mutating the world —
+/// building a new [`ConstraintSet`](crate::ConstraintSet) — transparently
+/// invalidates it. Over [`TableHandle::Untabled`] every conjunction is
+/// derived live, with the instrumentation of a tabled call minus the
+/// table's own traffic and `arena_terms` (no key is encoded unless a trace
+/// needs its fingerprint).
 ///
-/// The `RefCell` borrow is confined to lookup and insert; the live search
-/// itself never touches the table, so the wrapper is re-entrancy safe.
+/// The table is borrowed only for a lookup or an insert; the live search
+/// itself never touches it, so the wrapper is re-entrancy safe, and two
+/// workers missing on the same key of a shared table both derive it and
+/// both insert an equal verdict (the prover is deterministic in canonical
+/// space), which is harmless.
 #[derive(Debug, Clone, Copy)]
 pub struct TabledProver<'a> {
     prover: Prover<'a>,
     cs: &'a CheckedConstraints,
-    table: &'a RefCell<ProofTable>,
+    table: TableHandle<'a>,
+    /// Where an untabled prover reports; a tabled one reports into its
+    /// table's registry.
+    obs: Option<&'a MetricsRegistry>,
 }
 
 impl<'a> TabledProver<'a> {
-    /// Creates a tabled prover with default limits over a shared table.
+    /// Creates a tabled prover with default limits over a table (a
+    /// `&RefCell<ProofTable>`, a `&ShardedProofTable`, or a
+    /// [`TableHandle`]).
     pub fn new(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
-        table: &'a RefCell<ProofTable>,
+        table: impl Into<TableHandle<'a>>,
     ) -> Self {
-        TabledProver {
-            prover: Prover::new(sig, cs),
-            cs,
-            table,
-        }
+        Self::with_config(sig, cs, ProverConfig::default(), table)
     }
 
     /// Creates a tabled prover with explicit limits.
@@ -678,13 +773,21 @@ impl<'a> TabledProver<'a> {
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
         config: ProverConfig,
-        table: &'a RefCell<ProofTable>,
+        table: impl Into<TableHandle<'a>>,
     ) -> Self {
         TabledProver {
             prover: Prover::with_config(sig, cs, config),
             cs,
-            table,
+            table: table.into(),
+            obs: None,
         }
+    }
+
+    /// Attaches the registry an untabled prover reports into (builder
+    /// style). A tabled prover ignores it and reports into its table's.
+    pub fn with_obs(mut self, obs: Option<&'a MetricsRegistry>) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// The underlying (untabled) prover.
@@ -692,9 +795,13 @@ impl<'a> TabledProver<'a> {
         self.prover
     }
 
-    /// The shared table.
-    pub fn table(&self) -> &'a RefCell<ProofTable> {
-        self.table
+    /// Runs `f` on the registry this prover reports into, if any.
+    fn report<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
+        match self.table {
+            TableHandle::Untabled => self.obs.map(f),
+            TableHandle::Local(table) => Some(f(table.borrow().metrics())),
+            TableHandle::Shared(table) => Some(f(table.metrics())),
+        }
     }
 
     /// Tabled [`Prover::subtype`].
@@ -731,75 +838,26 @@ impl<'a> TabledProver<'a> {
         // allocation, no lookup. The verdicts are exactly what the prover
         // would return (ground searches bind nothing, so a proved ground
         // conjunction's answer is the empty substitution).
-        match self.cs.ground_closure().decide_goals(goals) {
-            ClosureVerdict::Proved => {
-                let table = self.table.borrow();
-                table.obs.incr(Counter::SubtypeGoals);
-                table.obs.incr(Counter::ClosureHits);
-                return Proof::Proved(Subst::new());
+        let decided = match self.cs.ground_closure().decide_goals(goals) {
+            ClosureVerdict::Proved => Some(Proof::Proved(Subst::new())),
+            ClosureVerdict::Refuted => Some(Proof::Refuted),
+            ClosureVerdict::Miss => {
+                self.report(|o| o.incr(Counter::ClosureMisses));
+                None
             }
-            ClosureVerdict::Refuted => {
-                let table = self.table.borrow();
-                table.obs.incr(Counter::SubtypeGoals);
-                table.obs.incr(Counter::ClosureHits);
-                return Proof::Refuted;
-            }
-            ClosureVerdict::Miss => self.table.borrow().obs.incr(Counter::ClosureMisses),
-            ClosureVerdict::NotGround => {}
-        }
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        // Fingerprint rendering is skipped entirely when nobody traces.
-        let fingerprint = {
-            let table = self.table.borrow();
-            table.obs.incr(Counter::SubtypeGoals);
-            table.obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-            table.obs.tracing().then(|| canon.key.fingerprint())
+            ClosureVerdict::NotGround => None,
         };
-        if let Some(fp) = &fingerprint {
-            self.table
-                .borrow()
-                .obs
-                .trace(&TraceEvent::SubtypeStart { key: fp });
+        if let Some(proof) = decided {
+            self.report(|o| {
+                o.incr(Counter::SubtypeGoals);
+                o.incr(Counter::ClosureHits);
+            });
+            return proof;
         }
-        let finish = |proof: Proof| -> Proof {
-            let obs = &self.table.borrow().obs;
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
-                    key: fp,
-                    verdict: verdict_name(&proof),
-                    nanos: elapsed.as_nanos() as u64,
-                });
-            }
-            proof
-        };
-        {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            if let Some(verdict) = table.lookup(&canon.key) {
-                drop(table);
-                return finish(match verdict {
-                    CachedVerdict::Refuted => Proof::Refuted,
-                    CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-                });
-            }
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.borrow_mut().insert(canon.key, verdict);
-        }
-        finish(proof)
+        let (span, canon) = self.open(goals, rigid, var_watermark);
+        let (proof, _) = self.decide(canon, goals, rigid, var_watermark);
+        self.close(span, verdict_name(&proof));
+        proof
     }
 
     /// [`Self::subtype_all_rigid`] with evidence attached: `Proved` carries
@@ -817,81 +875,117 @@ impl<'a> TabledProver<'a> {
         rigid: &BTreeSet<Var>,
         var_watermark: u32,
     ) -> Witnessed {
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        let fingerprint = {
-            let table = self.table.borrow();
-            table.obs.incr(Counter::SubtypeGoals);
-            table.obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-            table.obs.tracing().then(|| canon.key.fingerprint())
+        let (span, canon) = self.open(goals, rigid, var_watermark);
+        let (proof, steps) = self.decide(canon, goals, rigid, var_watermark);
+        let verdict = verdict_name(&proof);
+        let out = match proof {
+            Proof::Proved(answer) => {
+                self.report(|o| o.incr(Counter::WitnessEmitted));
+                Witnessed::Proved(Witness {
+                    goals: goals.to_vec(),
+                    answer,
+                    steps,
+                })
+            }
+            Proof::Refuted => Witnessed::Refuted {
+                core: self.shrink_refuted(goals, rigid, var_watermark),
+            },
+            Proof::Unknown => Witnessed::Unknown,
         };
+        self.close(span, verdict);
+        out
+    }
+
+    /// Counts one goal, starts its timer and opens its trace span. The
+    /// canonical key comes back when there is a table to probe; untabled,
+    /// it is built only to name a traced span.
+    fn open(
+        &self,
+        goals: &[(Term, Term)],
+        rigid: &BTreeSet<Var>,
+        var_watermark: u32,
+    ) -> (Span, Option<Canonical>) {
+        let started = Instant::now();
+        let tabled = !matches!(self.table, TableHandle::Untabled);
+        let tracing = self
+            .report(|o| {
+                o.incr(Counter::SubtypeGoals);
+                if tabled {
+                    o.add(Counter::ArenaTerms, 2 * goals.len() as u64);
+                }
+                o.tracing()
+            })
+            .unwrap_or(false);
+        let canon = (tabled || tracing).then(|| Canonical::of(goals, rigid, var_watermark));
+        let fingerprint = canon
+            .as_ref()
+            .filter(|_| tracing)
+            .map(|c| c.key.fingerprint());
         if let Some(fp) = &fingerprint {
-            self.table
-                .borrow()
-                .obs
-                .trace(&TraceEvent::SubtypeStart { key: fp });
+            self.report(|o| o.trace(&TraceEvent::SubtypeStart { key: fp }));
         }
-        let finish = |out: Witnessed| -> Witnessed {
-            let obs = &self.table.borrow().obs;
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
+        (
+            Span {
+                started,
+                fingerprint,
+            },
+            canon.filter(|_| tabled),
+        )
+    }
+
+    /// Records the `subtype_prove` timer and the `subtype.end` event.
+    fn close(&self, span: Span, verdict: &'static str) {
+        let elapsed = span.started.elapsed();
+        self.report(|o| {
+            o.observe(Timer::SubtypeProve, elapsed);
+            if let Some(fp) = &span.fingerprint {
+                o.trace(&TraceEvent::SubtypeEnd {
                     key: fp,
-                    verdict: verdict_name(&out.proof()),
+                    verdict,
                     nanos: elapsed.as_nanos() as u64,
                 });
             }
-            out
-        };
-        let emit = |witness: Witness| -> Witnessed {
-            self.table.borrow().obs.incr(Counter::WitnessEmitted);
-            Witnessed::Proved(witness)
-        };
-        let cached = {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            table.lookup(&canon.key)
-        };
-        match cached {
-            Some(CachedVerdict::Proved(answer, steps)) => finish(emit(Witness {
-                goals: goals.to_vec(),
-                answer: canon.decode_answer(&answer),
-                steps,
-            })),
-            Some(CachedVerdict::Refuted) => finish(Witnessed::Refuted {
-                core: self.shrink_refuted(goals, rigid, var_watermark),
-            }),
-            None => {
-                let (proof, steps) =
-                    self.prover
-                        .subtype_all_rigid_traced(goals, rigid, var_watermark);
-                match proof {
-                    Proof::Proved(answer) => {
-                        let steps = Arc::new(steps);
-                        if let Some(encoded) = canon.encode_answer(&answer) {
-                            self.table
-                                .borrow_mut()
-                                .insert(canon.key, CachedVerdict::Proved(encoded, steps.clone()));
-                        }
-                        finish(emit(Witness {
-                            goals: goals.to_vec(),
-                            answer,
-                            steps,
-                        }))
-                    }
-                    Proof::Refuted => {
-                        self.table
-                            .borrow_mut()
-                            .insert(canon.key, CachedVerdict::Refuted);
-                        finish(Witnessed::Refuted {
-                            core: self.shrink_refuted(goals, rigid, var_watermark),
-                        })
-                    }
-                    Proof::Unknown => finish(Witnessed::Unknown),
+        });
+    }
+
+    /// The table step shared by every entry point: serve `canon`'s cached
+    /// verdict, or derive it live and record it. Returns the proof and its
+    /// derivation chain (empty unless proved). `canon` is `None` exactly
+    /// when untabled.
+    fn decide(
+        &self,
+        canon: Option<Canonical>,
+        goals: &[(Term, Term)],
+        rigid: &BTreeSet<Var>,
+        var_watermark: u32,
+    ) -> (Proof, Arc<Vec<Step>>) {
+        let generation = self.cs.generation();
+        if let Some(canon) = &canon {
+            match self.table.lookup(generation, &canon.key) {
+                Some(CachedVerdict::Proved(answer, steps)) => {
+                    return (Proof::Proved(canon.decode_answer(&answer)), steps)
                 }
+                Some(CachedVerdict::Refuted) => return (Proof::Refuted, Arc::default()),
+                None => {}
             }
         }
+        let (proof, steps) = self
+            .prover
+            .subtype_all_rigid_traced(goals, rigid, var_watermark);
+        let steps = Arc::new(steps);
+        if let Some(canon) = canon {
+            let cached = match &proof {
+                Proof::Proved(answer) => canon
+                    .encode_answer(answer)
+                    .map(|a| CachedVerdict::Proved(a, steps.clone())),
+                Proof::Refuted => Some(CachedVerdict::Refuted),
+                Proof::Unknown => None,
+            };
+            if let Some(verdict) = cached {
+                self.table.insert(generation, canon.key, verdict);
+            }
+        }
+        (proof, steps)
     }
 
     /// Greedy core shrinking for a refuted conjunction, deciding every
@@ -906,10 +1000,7 @@ impl<'a> TabledProver<'a> {
             self.subtype_all_rigid_quiet(subset, rigid, var_watermark)
                 .is_refuted()
         });
-        self.table
-            .borrow()
-            .obs
-            .add(Counter::RefutedCoreSize, core.len() as u64);
+        self.report(|o| o.add(Counter::RefutedCoreSize, core.len() as u64));
         core
     }
 
@@ -932,31 +1023,9 @@ impl<'a> TabledProver<'a> {
             ClosureVerdict::Refuted => return Proof::Refuted,
             ClosureVerdict::Miss | ClosureVerdict::NotGround => {}
         }
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            if let Some(verdict) = table.lookup(&canon.key) {
-                return match verdict {
-                    CachedVerdict::Refuted => Proof::Refuted,
-                    CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-                };
-            }
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.borrow_mut().insert(canon.key, verdict);
-        }
-        proof
+        let canon = (!matches!(self.table, TableHandle::Untabled))
+            .then(|| Canonical::of(goals, rigid, var_watermark));
+        self.decide(canon, goals, rigid, var_watermark).0
     }
 
     /// Decides a batch of *independent* subtype goals (no shared
@@ -1169,10 +1238,11 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
 
-        table.insert(a.clone(), CachedVerdict::Refuted);
+        table.insert(0, a.clone(), CachedVerdict::Refuted);
         // Overwrite: same key again, now with an answer. Must not enqueue a
         // second FIFO slot for `a`.
         table.insert(
+            0,
             a.clone(),
             CachedVerdict::Proved(Subst::new(), Arc::new(Vec::new())),
         );
@@ -1182,9 +1252,9 @@ mod tests {
             "re-insert updated the verdict in place"
         );
 
-        table.insert(b.clone(), CachedVerdict::Refuted); // fills the table
-        table.insert(c.clone(), CachedVerdict::Refuted); // evicts a (oldest)
-        table.insert(d.clone(), CachedVerdict::Refuted); // evicts b
+        table.insert(0, b.clone(), CachedVerdict::Refuted); // fills the table
+        table.insert(0, c.clone(), CachedVerdict::Refuted); // evicts a (oldest)
+        table.insert(0, d.clone(), CachedVerdict::Refuted); // evicts b
 
         let stats = table.stats();
         assert!(
@@ -1214,16 +1284,17 @@ mod tests {
         let a = key_of(w.int, w.nat);
         let b = key_of(w.int, w.unnat);
         let c = key_of(w.nat, w.unnat);
-        table.insert(a.clone(), CachedVerdict::Refuted);
-        table.insert(b.clone(), CachedVerdict::Refuted);
+        table.insert(0, a.clone(), CachedVerdict::Refuted);
+        table.insert(0, b.clone(), CachedVerdict::Refuted);
         // Re-prove `a`: it is now the hottest entry, leaving `b` the oldest.
         table.insert(
+            0,
             a.clone(),
             CachedVerdict::Proved(Subst::new(), Arc::new(Vec::new())),
         );
         assert_eq!(table.len(), 2, "in-place update added no entry");
         // Overflow must evict `b`, not the just-updated `a`.
-        table.insert(c.clone(), CachedVerdict::Refuted);
+        table.insert(0, c.clone(), CachedVerdict::Refuted);
         let stats = table.stats();
         assert_eq!(table.len(), 2);
         assert_eq!(stats.evictions, 1);
@@ -1231,6 +1302,29 @@ mod tests {
         assert!(table.lookup(&a).is_some(), "hot re-proved key survives");
         assert!(table.lookup(&c).is_some(), "new key is live");
         assert!(table.lookup(&b).is_none(), "the cold key was evicted");
+    }
+
+    /// A verdict derived under one generation must not land in the table
+    /// after it moved to another: on a shared table, a worker proving under
+    /// g1 can lose the race to a g2 lookup between its miss and its insert.
+    #[test]
+    fn stale_generation_insert_is_dropped() {
+        let w = world();
+        let mut table = ProofTable::new();
+        let key = key_of(w.int, w.nat);
+        let (g1, g2) = (7, 8);
+        table.ensure_generation(g1);
+        assert!(table.lookup(&key).is_none(), "g1 lookup misses");
+        table.ensure_generation(g2);
+        table.insert(
+            g1,
+            key.clone(),
+            CachedVerdict::Proved(Subst::new(), Arc::default()),
+        );
+        table.ensure_generation(g2);
+        assert!(table.lookup(&key).is_none(), "the g1 verdict was dropped");
+        assert_eq!(table.len(), 0);
+        assert_eq!(table.stats().inserts, 0);
     }
 
     /// Fully ground goals over the nullary fragment are answered by the

@@ -23,8 +23,8 @@ use crate::cmatch::{CMatchFailure, CMatcher, CState, SolveOutcome};
 use crate::constraint::CheckedConstraints;
 use crate::obs::{Counter, MetricsRegistry, Timer, TraceEvent};
 use crate::par;
-use crate::shard::{ShardedProofTable, TableHandle};
-use crate::table::ProofTable;
+use crate::shard::ShardedProofTable;
+use crate::table::{ProofTable, TableHandle};
 
 /// The fixed set `D` of predicate types (Definition 15).
 #[derive(Debug, Clone, Default)]
@@ -205,8 +205,8 @@ pub struct Checker<'a> {
     sig: &'a Signature,
     cs: &'a CheckedConstraints,
     preds: &'a PredTypeTable,
-    /// Which proof-table backend every clause's commitment-solving step
-    /// proves through (see [`crate::table`] and [`crate::shard`]).
+    /// Which proof table every clause's commitment-solving step proves
+    /// through (see [`crate::table`]).
     table: TableHandle<'a>,
     /// Observability: clause/query counters, phase timers and check
     /// begin/end spans. `None` costs nothing.
@@ -236,8 +236,8 @@ impl<'a> Checker<'a> {
         Self::with_handle(sig, cs, preds, TableHandle::Local(table))
     }
 
-    /// Like [`Checker::new`], but with an explicit proof-table backend
-    /// (possibly the thread-safe sharded table).
+    /// Like [`Checker::new`], but with an explicit proof-table handle
+    /// (possibly a table shared by worker threads).
     pub fn with_handle(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
@@ -468,8 +468,10 @@ impl<'a> Checker<'a> {
 /// parallel. `ParallelChecker` dispatches clauses across the workspace
 /// work-stealing pool ([`crate::par`] — idle workers steal queued clause
 /// chunks instead of idling behind a fixed partition); workers share one
-/// [`ShardedProofTable`] (when tabling is on), so a judgement derived for
-/// one clause is a cache hit for every other clause on any thread.
+/// [`ShardedProofTable`] (when tabling is on) — the serial checker's
+/// [`ProofTable`] behind one mutex, locked only to probe
+/// or write — so a judgement derived for one clause is a cache hit for every
+/// other clause on any thread.
 ///
 /// Results are reassembled in clause order, so the error list (and the
 /// typings) are **identical** to a serial [`Checker::check_program`] run:
@@ -512,7 +514,7 @@ impl<'a> ParallelChecker<'a> {
     }
 
     /// Like [`ParallelChecker::new`], but every worker proves through the
-    /// shared sharded table.
+    /// shared table.
     pub fn with_table(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
@@ -550,7 +552,7 @@ impl<'a> ParallelChecker<'a> {
     /// The per-worker serial checker.
     fn checker(&self) -> Checker<'a> {
         let handle = match self.table {
-            Some(t) => TableHandle::Sharded(t),
+            Some(t) => TableHandle::Shared(t),
             None => TableHandle::Untabled,
         };
         Checker::with_handle(self.sig, self.cs, self.preds, handle)

@@ -21,8 +21,7 @@ use rand::SeedableRng;
 use lp_gen::{terms, worlds};
 use lp_term::{Signature, Subst, Term};
 use subtype_core::{
-    CheckedConstraints, Proof, ProofTable, Prover, ShardedProofTable, ShardedProver, TabledProver,
-    TermArena,
+    CheckedConstraints, Proof, ProofTable, Prover, ShardedProofTable, TabledProver, TermArena,
 };
 
 /// Draws `n` ground type terms over `world` (no variables in scope, so
@@ -45,7 +44,7 @@ fn assert_closure_agrees(
     let local = RefCell::new(ProofTable::new());
     let tabled = TabledProver::new(sig, checked, &local);
     let shards = ShardedProofTable::new();
-    let sharded = ShardedProver::new(sig, checked, &shards);
+    let sharded = TabledProver::new(sig, checked, &shards);
     let closure = checked.ground_closure();
     for (sup, sub) in pairs {
         let reference = plain.subtype(sup, sub);

@@ -1,13 +1,13 @@
-//! Differential property tests locking [`ShardedProver`] to [`Prover`]
-//! and [`TabledProver`].
+//! Differential property tests locking [`TabledProver`] over a shared
+//! [`ShardedProofTable`] to [`Prover`] and to the same prover over a
+//! `RefCell` table.
 //!
-//! The sharded table is the concurrent counterpart of the single
-//! [`ProofTable`]: same canonical keys, same generation invalidation, just
-//! concurrent (a seqlocked open-addressing store since the lock-free
-//! rewrite). These tests assert it is *observationally identical* —
-//! exact [`Proof`] equality, answers included — to both the untabled
-//! prover and the `RefCell`-backed tabled prover, on miss passes, hit
-//! passes, and under genuinely concurrent access from several threads.
+//! The shared table is the single [`ProofTable`] behind one mutex: same
+//! canonical keys, same generation invalidation, reachable from many
+//! threads. These tests assert it is *observationally identical* — exact
+//! [`Proof`] equality, answers included — to both the untabled prover and
+//! the `RefCell`-backed tabled prover, on miss passes, hit passes, and
+//! under genuinely concurrent access from several threads.
 //!
 //! Strategy mirrors `prop_table.rs`: proptest supplies seeds; worlds and
 //! goals come from the deterministic `lp-gen` generators, so every failure
@@ -24,7 +24,7 @@ use lp_gen::{terms, worlds};
 use lp_term::{Signature, SymKind, Term, Var};
 use subtype_core::{
     ConstraintSet, Counter, Proof, ProofTable, Prover, ProverConfig, ShardedProofTable,
-    ShardedProver, TabledProver,
+    TabledProver,
 };
 
 /// Same tight search budget as `prop_table.rs` — both provers run the same
@@ -37,7 +37,7 @@ const CONFIG: ProverConfig = ProverConfig {
 
 /// Draws `n` (sup, sub) goal pairs over `world`, alternating closed and
 /// open goals (open goals exercise answer encoding/decoding through the
-/// canonical key space shared by all shards).
+/// canonical key space shared by every thread).
 fn goal_pairs(
     rng: &mut StdRng,
     world: &worlds::BuiltWorld,
@@ -60,9 +60,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// The headline differential property: over random guarded worlds, the
-    /// sharded prover returns byte-identical proofs to the untabled
-    /// prover, both when populating the shards and when answering from
-    /// them.
+    /// shared-table prover returns byte-identical proofs to the untabled
+    /// prover, both when populating the table and when answering from
+    /// it.
     #[test]
     fn sharded_prover_is_observationally_identical(seed in any::<u64>()) {
         let world = worlds::random(seed % 512, worlds::RandomWorldConfig::default());
@@ -70,7 +70,7 @@ proptest! {
         let (goals, _) = goal_pairs(&mut rng, &world, 4);
         let plain = Prover::with_config(&world.sig, &world.checked, CONFIG);
         let table = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &table);
+        let sharded = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &table);
         for (sup, sub) in &goals {
             let reference = plain.subtype(sup, sub);
             let miss = sharded.subtype(sup, sub);
@@ -79,7 +79,7 @@ proptest! {
             prop_assert_eq!(&reference, &hit, "hit pass diverged on {:?} >= {:?}", sup, sub);
         }
         // Every query is accounted for: decided by the ground closure
-        // (lock-free, no table touch) or by the shards (miss then hit).
+        // (no lock, no table touch) or by the table (miss then hit).
         let stats = table.stats();
         let closure_hits = table.metrics().get(Counter::ClosureHits);
         prop_assert_eq!(
@@ -102,7 +102,7 @@ proptest! {
         let local = RefCell::new(ProofTable::new());
         let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &local);
         let table = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &table);
+        let sharded = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &table);
         for (sup, sub) in &goals {
             prop_assert_eq!(tabled.subtype(sup, sub), sharded.subtype(sup, sub));
         }
@@ -110,7 +110,7 @@ proptest! {
     }
 
     /// Rigid conjunction goals — the exact entry point the well-typedness
-    /// checker uses — agree with the untabled prover through the shards.
+    /// checker uses — agree with the untabled prover through the shared table.
     #[test]
     fn rigid_conjunctions_agree_through_shards(seed in any::<u64>()) {
         let world = worlds::random(seed % 512, worlds::RandomWorldConfig::default());
@@ -120,7 +120,7 @@ proptest! {
         let rigid: BTreeSet<Var> = [vars[1]].into_iter().collect();
         let plain = Prover::with_config(&world.sig, &world.checked, CONFIG);
         let table = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &table);
+        let sharded = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &table);
         let reference = plain.subtype_all_rigid(&goals, &rigid, watermark);
         let miss = sharded.subtype_all_rigid(&goals, &rigid, watermark);
         prop_assert_eq!(&reference, &miss);
@@ -152,7 +152,7 @@ proptest! {
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 scope.spawn(move || {
-                    let sharded = ShardedProver::with_config(
+                    let sharded = TabledProver::with_config(
                         &world_ref.sig,
                         &world_ref.checked,
                         CONFIG,
@@ -180,9 +180,9 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.misses + closure_hits, 16);
     }
 
-    /// Schedule fuzzing for the lock-free store: four threads hammer a
-    /// deliberately tiny table (collisions, evictions, seqlock races on
-    /// shared hot keys) while one of them keeps `rescope`-ing the store to
+    /// Schedule fuzzing for the shared table: four threads hammer a
+    /// deliberately tiny table (evictions and lock races on shared hot
+    /// keys) while one of them keeps `rescope`-ing the table to
     /// a foreign generation, so every other thread's next touch has to
     /// re-align the epoch and re-derive. Whatever the interleaving, each
     /// query must come back *exactly* equal to the serial prover's proof —
@@ -195,9 +195,9 @@ proptest! {
         let (goals, _) = goal_pairs(&mut rng, &world, 4);
         let plain = Prover::with_config(&world.sig, &world.checked, CONFIG);
         let expected: Vec<Proof> = goals.iter().map(|(a, b)| plain.subtype(a, b)).collect();
-        // 8 buckets for 4 hot keys: probe clustering and epoch churn both
-        // happen on nearly every touch.
-        let table = ShardedProofTable::with_config(4, 8);
+        // 8 entries for 4 hot keys: generation churn happens on nearly
+        // every touch.
+        let table = ShardedProofTable::with_capacity(8);
         let world_ref = &world;
         let goals_ref = &goals;
         let expected_ref = &expected;
@@ -205,7 +205,7 @@ proptest! {
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 scope.spawn(move || {
-                    let sharded = ShardedProver::with_config(
+                    let sharded = TabledProver::with_config(
                         &world_ref.sig,
                         &world_ref.checked,
                         CONFIG,
@@ -222,7 +222,7 @@ proptest! {
                             );
                         }
                         if t == 0 {
-                            // Shove the whole store into a generation no
+                            // Shove the whole table into a generation no
                             // prover queries under; everyone else must
                             // re-align and re-derive, never serve stale.
                             table_ref.rescope(
@@ -238,16 +238,16 @@ proptest! {
     }
 }
 
-/// The seqlock torn-read kill test. Two theories share one store: their
+/// The mixed-generation kill test. Two theories share one table: their
 /// signatures declare the same symbols in the same order, so the goal
 /// `list(X) ⪰ elist` flat-encodes to the *same table key* under both —
 /// but theory 1 proves it and theory 2 refutes it. Threads hammer both
-/// provers concurrently on a **single-bucket** store, so every insert
-/// races every read on the same seqlock and the epoch ping-pongs on
-/// nearly every touch. A torn read that slipped validation, or any read
-/// that honoured a bucket stamped with the other generation, would hand
-/// one thread the other theory's verdict — the assertion that can never
-/// fire if the stamp discipline is right.
+/// provers concurrently on a **one-entry** table, so the generation
+/// ping-pongs on nearly every touch and a worker's insert often lands
+/// after the other theory's lookup moved the table. An insert that did
+/// not check its verdict's generation against the table's would hand one
+/// thread the other theory's verdict — the assertion that can never fire
+/// if the generation discipline is right.
 #[test]
 fn torn_reads_never_leak_a_mixed_generation_verdict() {
     let mut sig = Signature::new();
@@ -268,7 +268,7 @@ fn torn_reads_never_leak_a_mixed_generation_verdict() {
     let refuting = ConstraintSet::new().checked(&sig).expect("empty theory");
     assert_ne!(proving.generation(), refuting.generation());
 
-    let table = ShardedProofTable::with_config(1, 1);
+    let table = ShardedProofTable::with_capacity(1);
     let sup = Term::app(list, vec![Term::Var(Var(7))]);
     let sub = Term::constant(elist);
     let sig_ref = &sig;
@@ -278,7 +278,7 @@ fn torn_reads_never_leak_a_mixed_generation_verdict() {
         for (theory, want_proved) in [(&proving, true), (&refuting, false)] {
             for _ in 0..2 {
                 scope.spawn(move || {
-                    let p = ShardedProver::with_config(sig_ref, theory, CONFIG, table_ref);
+                    let p = TabledProver::with_config(sig_ref, theory, CONFIG, table_ref);
                     for round in 0..400 {
                         let verdict = p.subtype(sup_ref, sub_ref);
                         assert_eq!(
@@ -294,6 +294,6 @@ fn torn_reads_never_leak_a_mixed_generation_verdict() {
     });
     assert!(
         table.metrics().get(Counter::TableInvalidations) > 0,
-        "the generations really did fight over the store"
+        "the generations really did fight over the table"
     );
 }

@@ -30,8 +30,7 @@ use lp_gen::{terms, worlds};
 use lp_term::{Signature, SymKind, Term, Var};
 use subtype_core::witness::{self, Witness, Witnessed};
 use subtype_core::{
-    ConstraintSet, Proof, ProofTable, Prover, ProverConfig, ShardedProofTable, ShardedProver,
-    TabledProver,
+    ConstraintSet, Proof, ProofTable, Prover, ProverConfig, ShardedProofTable, TabledProver,
 };
 
 /// Same small search budget as `prop_table.rs`: random refutable goals
@@ -137,7 +136,7 @@ proptest! {
         check_against_reference(&world, &reference, &hit, "tabled (hit)")?;
 
         let shared = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
+        let sharded = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
         let miss = sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
         check_against_reference(&world, &reference, &miss, "sharded (miss)")?;
         let hit = sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
@@ -176,7 +175,7 @@ proptest! {
         let local = RefCell::new(ProofTable::new());
         let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &local);
         let shared = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
+        let sharded = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
         // One conjunction query plus each pair on its own, against both tables.
         tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
         sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);

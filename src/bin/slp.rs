@@ -39,7 +39,7 @@
 //! threads (default: one per core). Output is collected per file and
 //! emitted in input order, so a parallel run is byte-identical to the
 //! serial one. With a single file, `check` parallelizes across *clauses*
-//! instead, its workers sharing one lock-free seqlocked proof table.
+//! instead, its workers sharing one proof table behind a mutex.
 //!
 //! Stream discipline: results (well-typed summaries, lint findings, JSON)
 //! go to **stdout**; every error — usage mistakes, unreadable files, parse
@@ -69,7 +69,7 @@ use subtype_lp::core::lint::{
 use subtype_lp::core::{
     match_type, mode_string, par, ConstraintSet, Counter, FaultPlan, MatchOutcome, MetricsRegistry,
     ModeAnalysis, NaiveProver, ProofTable, Prover, ServeConfig, ServeSession, ShardedProofTable,
-    TabledProver, Timer,
+    TableHandle, TabledProver, Timer,
 };
 use subtype_lp::parser::{parse_module, Module};
 use subtype_lp::term::TermDisplay;
@@ -380,8 +380,8 @@ fn dispatch(
             let files = expand_files(require_files(parsed)?)?;
             let jobs = jobs_of(parsed)?;
             // Files are the unit of parallelism for a batch; a single file
-            // parallelizes across its clauses instead (sharing one sharded
-            // proof table between the workers).
+            // parallelizes across its clauses instead (sharing one proof
+            // table between the workers).
             let (file_jobs, clause_jobs) = if files.len() > 1 {
                 (jobs, 1)
             } else {
@@ -693,11 +693,11 @@ fn program_diagnostics(module: &Module, e: &subtype_lp::Error) -> Vec<Diagnostic
 
 /// Diagnostics for every ill-typed clause and query, or empty when the
 /// program is well-typed. With `clause_jobs > 1` the clauses (and queries)
-/// are checked across the worker pool, sharing one sharded proof table;
-/// the diagnostics come back in clause order either way, so the rendered
-/// output is byte-identical to the serial run.
+/// are checked across the worker pool, sharing one proof table when tabling
+/// is on; the diagnostics come back in clause order either way, so the
+/// rendered output is byte-identical to the serial run.
 ///
-/// With `verify_witnesses`, whichever proof table the check populated is
+/// With `verify_witnesses`, whichever proof table served the check is
 /// audited afterwards: every cached `Proved` entry is replayed through
 /// `witness::validate_in`, and any replay failure becomes an `E0301`
 /// diagnostic. A clean audit adds nothing, so stdout stays byte-identical
@@ -710,51 +710,37 @@ fn check_program_diags(
 ) -> Vec<Diagnostic> {
     let module = program.module();
     let mut diags = Vec::new();
-    // The sharded table counts into the program's registry, so serial
-    // and clause-parallel runs report through the same document.
-    let shared =
-        (clause_jobs > 1).then(|| ShardedProofTable::with_metrics(program.metrics().clone()));
-    if let Some(shared) = &shared {
-        let table = (!no_table).then_some(shared);
-        if let Err(subtype_lp::Error::Check(errs)) =
-            program.check_clauses_parallel(table, clause_jobs)
-        {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
-            );
-        }
-        if let Err(subtype_lp::Error::Check(errs)) =
-            program.check_queries_parallel(table, clause_jobs)
-        {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| query_check_diagnostic(module, *i, e)),
-            );
-        }
+    // The shared table counts into the program's registry, so serial and
+    // clause-parallel runs report through the same document.
+    let shared = (clause_jobs > 1 && !no_table)
+        .then(|| ShardedProofTable::with_metrics(program.metrics().clone()));
+    let (clauses, queries) = if clause_jobs > 1 {
+        (
+            program.check_clauses_parallel(shared.as_ref(), clause_jobs),
+            program.check_queries_parallel(shared.as_ref(), clause_jobs),
+        )
     } else {
-        if let Err(subtype_lp::Error::Check(errs)) = program.check_clauses() {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
-            );
-        }
-        if let Err(subtype_lp::Error::Check(errs)) = program.check_queries() {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| query_check_diagnostic(module, *i, e)),
-            );
-        }
+        (program.check_clauses(), program.check_queries())
+    };
+    if let Err(subtype_lp::Error::Check(errs)) = clauses {
+        diags.extend(
+            errs.iter()
+                .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
+        );
+    }
+    if let Err(subtype_lp::Error::Check(errs)) = queries {
+        diags.extend(
+            errs.iter()
+                .map(|(i, e)| query_check_diagnostic(module, *i, e)),
+        );
     }
     if verify_witnesses {
         let constraints = program.constraints().as_set().constraints();
-        let (validated, invalid) = match &shared {
-            Some(t) => t.validate_witnesses(&module.sig, constraints),
-            None => program
-                .proof_table()
-                .borrow()
-                .validate_witnesses(&module.sig, constraints),
+        let table = match &shared {
+            Some(t) => TableHandle::Shared(t),
+            None => TableHandle::Local(program.proof_table()),
         };
+        let (validated, invalid) = table.validate_witnesses(&module.sig, constraints);
         if invalid > 0 {
             diags.push(
                 Diagnostic::error(
@@ -794,7 +780,7 @@ fn execute(
     auditing: bool,
 ) -> Result<ExitCode, String> {
     // `audit --jobs N` parallelizes the pre-execution type check across
-    // clauses (sharing a sharded proof table); the audit itself is serial
+    // clauses (sharing one proof table); the audit itself is serial
     // and its output byte-identical at every job count.
     let jobs = if auditing { jobs_of(parsed)? } else { 1 };
     let diags = check_program_diags(program, jobs, !program.tabling(), false);

@@ -337,10 +337,9 @@ impl TypedProgram {
     /// A clause-level parallel checker over `jobs` workers (0 = one per
     /// core) sharing `table` when tabling is wanted.
     ///
-    /// This deliberately takes the sharded table by reference instead of
-    /// using the program's own single-threaded [`ProofTable`]: the
-    /// `RefCell`-wrapped table cannot cross threads, and keeping the two
-    /// backends separate means serial callers pay no locking.
+    /// This takes a [`ShardedProofTable`] — the same [`ProofTable`] behind
+    /// one mutex — instead of the program's own table: the `RefCell` that
+    /// wraps it cannot cross threads, and serial callers pay no locking.
     pub fn parallel_checker<'a>(
         &'a self,
         table: Option<&'a ShardedProofTable>,

@@ -165,6 +165,13 @@ fn no_table_is_byte_identical_on_paper_examples() {
         assert!(ok);
         golden(&["info", &f]);
         golden(&["export", &f]);
+        // The clause-parallel path, with and without its shared table.
+        let (ok, _, _) = golden(&["check", &f, "--jobs", "2"]);
+        assert!(ok);
+        let (ok, _, _) = golden(&["check", &f, "--jobs", "2", "--verify-witnesses"]);
+        assert!(ok);
+        let (ok, _, _) = golden(&["audit", &f, "--jobs", "2"]);
+        assert!(ok);
     }
 }
 
