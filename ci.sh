@@ -92,8 +92,8 @@ step lint-examples target/release/slp lint --deny warnings \
   examples/app.slp examples/naturals.slp
 
 # Lint output is pinned byte-for-byte against the committed goldens, in both
-# human and JSON formats. lint_demo.slp and modes_demo.slp are intentionally
-# dirty (exit 2).
+# human and JSON formats. lint_demo.slp, modes_demo.slp and lint_scaled.slp
+# are intentionally dirty (exit 2).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 golden_lint() {

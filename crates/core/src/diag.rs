@@ -8,14 +8,20 @@
 //! provided:
 //!
 //! * [`render_human`] — a rustc-style excerpt with a caret underline;
-//! * [`render_json`] — a machine-readable array for editors and CI.
+//! * [`render_json_all`] — a machine-readable array for editors and CI.
 //!
 //! Both renderers are deterministic: [`sort`] orders findings by source
 //! position, severity and code, never by hash-map iteration order.
+//!
+//! Positions are resolved through one [`LineIndex`] per rendered source (a
+//! [`Source`]), so a report of `d` findings over an `n`-byte file costs
+//! `O(n + d log n)`, not a prefix scan per span. The JSON `line` and
+//! `column` fields are 1-based, and `column` counts bytes within the line
+//! (a tab or a multibyte character before the span counts its UTF-8 length).
 
 use std::fmt;
 
-use lp_parser::{ParseError, Span};
+use lp_parser::{LineIndex, ParseError, Span};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,8 +138,37 @@ pub fn counts(diags: &[Diagnostic]) -> (usize, usize) {
     (errors, diags.len() - errors)
 }
 
+/// A source text with its [`LineIndex`], built once per file: the
+/// single-diagnostic renderers resolve every span against it.
+#[derive(Debug, Clone)]
+pub struct Source<'a> {
+    text: &'a str,
+    lines: LineIndex,
+}
+
+impl<'a> Source<'a> {
+    /// Indexes `text` in one pass.
+    pub fn new(text: &'a str) -> Self {
+        Source {
+            text,
+            lines: LineIndex::new(text),
+        }
+    }
+
+    /// The indexed text.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// 1-based `(line, column)` of byte `offset`, as [`Span::line_col`]
+    /// computes it.
+    pub fn line_col(&self, offset: usize) -> (usize, usize) {
+        self.lines.line_col(offset)
+    }
+}
+
 /// Renders one diagnostic in the terminal (rustc-like) format.
-pub fn render_human(d: &Diagnostic, source: &str, filename: &str) -> String {
+pub fn render_human(d: &Diagnostic, source: &Source<'_>, filename: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!("{}[{}]: {}\n", d.severity, d.code, d.message));
     if let Some(span) = d.span {
@@ -152,9 +187,10 @@ pub fn render_human(d: &Diagnostic, source: &str, filename: &str) -> String {
 /// Renders a whole report in the terminal format, one blank line between
 /// findings, with a final summary line.
 pub fn render_human_all(diags: &[Diagnostic], source: &str, filename: &str) -> String {
+    let source = Source::new(source);
     let mut out = String::new();
     for d in diags {
-        out.push_str(&render_human(d, source, filename));
+        out.push_str(&render_human(d, &source, filename));
         out.push('\n');
     }
     let (errors, warnings) = counts(diags);
@@ -172,9 +208,10 @@ pub fn render_json_all(diags: &[Diagnostic], source: &str, filename: &str) -> St
     if diags.is_empty() {
         return "[]\n".to_string();
     }
+    let source = Source::new(source);
     let body: Vec<String> = diags
         .iter()
-        .map(|d| render_json_one(d, source, filename))
+        .map(|d| render_json_one(d, &source, filename))
         .collect();
     format!("[\n  {}\n]\n", body.join(",\n  "))
 }
@@ -183,7 +220,7 @@ pub fn render_json_all(diags: &[Diagnostic], source: &str, filename: &str) -> St
 /// [`render_json_all`]'s array) — exposed so callers embedding diagnostics
 /// in larger documents (`slp explain --format json`) reuse the exact same
 /// encoding.
-pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
+pub fn render_json_one(d: &Diagnostic, source: &Source<'_>, filename: &str) -> String {
     let mut fields = vec![
         format!("\"code\":{}", json_str(d.code)),
         format!("\"severity\":{}", json_str(&d.severity.to_string())),
@@ -211,8 +248,8 @@ pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-fn json_span(source: &str, span: Span) -> String {
-    let (line, column) = span.line_col(source);
+fn json_span(source: &Source<'_>, span: Span) -> String {
+    let (line, column) = source.line_col(span.start);
     format!(
         "{{\"start\":{},\"end\":{},\"line\":{line},\"column\":{column}}}",
         span.start, span.end
@@ -245,21 +282,19 @@ fn json_str(s: &str) -> String {
 /// 12 | q(pred(0)).
 ///    | ^^^^^^^^^^
 /// ```
-fn excerpt(source: &str, filename: &str, span: Span, marker: char) -> String {
-    let start = span.start.min(source.len());
-    let (line, col) = Span::new(start, start).line_col(source);
-    let line_start = source[..start].rfind('\n').map_or(0, |i| i + 1);
-    let line_end = source[line_start..]
-        .find('\n')
-        .map_or(source.len(), |i| line_start + i);
-    let text = &source[line_start..line_end];
+fn excerpt(source: &Source<'_>, filename: &str, span: Span, marker: char) -> String {
+    let src = source.text;
+    let start = span.start.min(src.len());
+    let (line, col) = source.line_col(start);
+    let line_span = source.lines.line_range(start);
+    let text = &src[line_span.clone()];
     let gutter = " ".repeat(line.to_string().len());
-    let pad: String = source[line_start..start]
+    let pad: String = src[line_span.start..start]
         .chars()
         .map(|c| if c == '\t' { '\t' } else { ' ' })
         .collect();
     // Underline the span, clamped to its first line, at least one marker.
-    let underline_chars = source[start..span.end.min(line_end).max(start)]
+    let underline_chars = src[start..span.end.min(line_span.end).max(start)]
         .chars()
         .count()
         .max(1);
@@ -281,7 +316,7 @@ mod tests {
         let src = "TYPE t.\nt >= t.\n";
         // Span of the second `t` on line 2 (offset 13..14).
         let d = Diagnostic::error("E0103", "not guarded").with_span(Span::new(13, 14));
-        let text = render_human(&d, src, "x.slp");
+        let text = render_human(&d, &Source::new(src), "x.slp");
         assert!(text.contains("error[E0103]: not guarded"), "{text}");
         assert!(text.contains("--> x.slp:2:6"), "{text}");
         assert!(text.contains("2 | t >= t."), "{text}");
@@ -300,7 +335,7 @@ mod tests {
         let d = Diagnostic::warning("W0501", "overlap")
             .with_span(Span::new(11, 15))
             .related(Span::new(0, 10), "declared here");
-        let text = render_human(&d, src, "x.slp");
+        let text = render_human(&d, &Source::new(src), "x.slp");
         assert!(text.contains("note: declared here"), "{text}");
         assert!(text.contains("----"), "{text}");
     }

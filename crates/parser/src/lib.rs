@@ -74,5 +74,5 @@ pub use loader::{
     parse_module, LoadedClause, LoadedConstraint, LoadedQuery, Loader, LoaderOptions, Module,
 };
 pub use parser::{parse_items, parse_single_term, MAX_TERM_DEPTH};
-pub use token::{Span, Token, TokenKind};
+pub use token::{LineIndex, Span, Token, TokenKind};
 pub use unparse::{unparse, unparse_term};

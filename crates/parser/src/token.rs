@@ -26,13 +26,66 @@ impl Span {
     }
 
     /// 1-based `(line, column)` of the span start within `source`.
+    ///
+    /// Scans `source` once; to resolve many spans against one source, build
+    /// a [`LineIndex`] and query it instead.
     pub fn line_col(&self, source: &str) -> (usize, usize) {
-        let upto = &source[..self.start.min(source.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
-        let col = upto
-            .rfind('\n')
-            .map_or(self.start + 1, |nl| self.start - nl);
-        (line, col)
+        LineIndex::new(source).line_col(self.start)
+    }
+}
+
+/// The byte offsets at which the lines of one source text start, so that an
+/// offset resolves to its line by binary search instead of a prefix scan.
+///
+/// Lines end at `\n` (a `\r` before it stays part of the line); columns
+/// are 1-based byte counts within the line.
+#[derive(Debug, Clone)]
+pub struct LineIndex {
+    /// `starts[i]` is the offset of line `i + 1`; `starts[0] == 0`.
+    starts: Vec<usize>,
+    /// Length of the indexed source in bytes.
+    len: usize,
+}
+
+impl LineIndex {
+    /// Indexes `source` in one pass.
+    pub fn new(source: &str) -> Self {
+        let starts = std::iter::once(0)
+            .chain(
+                source
+                    .bytes()
+                    .enumerate()
+                    .filter(|&(_, b)| b == b'\n')
+                    .map(|(i, _)| i + 1),
+            )
+            .collect();
+        LineIndex {
+            starts,
+            len: source.len(),
+        }
+    }
+
+    /// 1-based `(line, column)` of byte `offset`. The line is that of
+    /// `min(offset, len)`; the column counts from that line's start to the
+    /// unclamped `offset`, so an offset past the end keeps counting columns
+    /// on the last line.
+    pub fn line_col(&self, offset: usize) -> (usize, usize) {
+        let line = self.line_of(offset);
+        (line + 1, offset - self.starts[line] + 1)
+    }
+
+    /// The byte range of the line holding `min(offset, len)`, without its
+    /// terminating `\n`.
+    pub fn line_range(&self, offset: usize) -> std::ops::Range<usize> {
+        let line = self.line_of(offset);
+        let end = self.starts.get(line + 1).map_or(self.len, |&next| next - 1);
+        self.starts[line]..end
+    }
+
+    /// 0-based line of `min(offset, len)`: no line starts past `len`, so
+    /// an offset beyond the end falls on the last line without clamping.
+    fn line_of(&self, offset: usize) -> usize {
+        self.starts.partition_point(|&s| s <= offset) - 1
     }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every committed golden artifact deterministically:
 #
-#   tests/golden/{app,naturals,lint_demo,modes_demo}.{txt,json}
+#   tests/golden/{app,naturals,lint_demo,modes_demo,lint_scaled}.{txt,json}
 #                                                      lint output goldens
 #   tests/golden/modes_demo_audit.{txt,json}           slp audit --modes goldens
 #   tests/golden/explain_{q,h,app}.{txt,json}          slp explain goldens
@@ -21,8 +21,8 @@ source scripts/goldens.list
 
 cargo build --release -p subtype-lp -p bench
 
-# Lint goldens, human and JSON (lint_demo and modes_demo are intentionally
-# dirty: exit 2).
+# Lint goldens, human and JSON (lint_demo, modes_demo and lint_scaled are
+# intentionally dirty: exit 2).
 for stem in "${GOLDEN_LINT_STEMS[@]}"; do
   target/release/slp lint "examples/$stem.slp" > "tests/golden/$stem.txt" || true
   target/release/slp lint "examples/$stem.slp" --format json \

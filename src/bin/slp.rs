@@ -903,9 +903,10 @@ fn audit_modes(
                 )
             })
             .collect();
+        let source = diag::Source::new(src);
         let diags_json: Vec<String> = diags
             .iter()
-            .map(|d| diag::render_json_one(d, src, file))
+            .map(|d| diag::render_json_one(d, &source, file))
             .collect();
         let solutions_json: Vec<String> = audit
             .solutions
@@ -1230,11 +1231,12 @@ fn explain_cmd(
         ));
     }
 
+    let source = diag::Source::new(src);
     let mut human = String::new();
     let mut items = Vec::new();
     let mut well_typed = 0usize;
     for t in &targets {
-        let (verdict, section, item) = explain_target(program, src, file, t);
+        let (verdict, section, item) = explain_target(program, &source, file, t);
         if verdict == "well-typed" {
             well_typed += 1;
         }
@@ -1261,10 +1263,11 @@ fn explain_cmd(
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders one explanation target as `(verdict, human section, JSON item)`.
+/// Renders one explanation target as `(verdict, human section, JSON item)`
+/// against the file's source, indexed once by the caller.
 fn explain_target(
     program: &TypedProgram,
-    src: &str,
+    source: &diag::Source<'_>,
     file: &str,
     t: &ExplainTarget,
 ) -> (&'static str, String, String) {
@@ -1277,7 +1280,8 @@ fn explain_target(
     let constraints = program.constraints().as_set().constraints();
     let obs = program.metrics();
 
-    let (line, _) = t.span.line_col(src);
+    let src = source.text();
+    let (line, _) = source.line_col(t.span.start);
     let quoted: String = src[t.span.start.min(src.len())..t.span.end.min(src.len())]
         .split_whitespace()
         .collect::<Vec<_>>()
@@ -1427,8 +1431,8 @@ fn explain_target(
                      remainder becomes derivable",
                 );
             }
-            section.push_str(&diag::render_human(&d, src, file));
-            diag_json = diag::render_json_one(&d, src, file);
+            section.push_str(&diag::render_human(&d, source, file));
+            diag_json = diag::render_json_one(&d, source, file);
         }
     }
 

@@ -55,6 +55,12 @@ fn check_example(example: &str, stem: &str, expect_code: i32) {
 }
 
 #[test]
+fn lint_scaled_matches_golden() {
+    // 159 lines: the excerpt gutter widens to three digits.
+    check_example("lint_scaled.slp", "lint_scaled", 2);
+}
+
+#[test]
 fn lint_demo_matches_golden() {
     check_example("lint_demo.slp", "lint_demo", 2);
 }
@@ -177,4 +183,107 @@ fn parse_errors_are_e0001_with_span() {
     assert_eq!(code, 2);
     assert!(stdout.contains("E0001"), "{stdout}");
     assert!(stdout.contains(":1:"), "{stdout}");
+}
+
+/// The prefix-counting line/column rule the renderers once ran per span,
+/// kept as the oracle: the line counts the newlines before `min(start, len)`,
+/// the column counts from the last of them to `start`.
+fn oracle_line_col(start: usize, source: &str) -> (usize, usize) {
+    let upto = &source[..start.min(source.len())];
+    let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
+    let col = upto.rfind('\n').map_or(start + 1, |nl| start - nl);
+    (line, col)
+}
+
+/// The numeric field `name` (e.g. `"line":`) of a flat JSON object body.
+fn json_field(obj: &str, name: &str) -> usize {
+    let at = obj.find(name).unwrap_or_else(|| panic!("{name} in {obj}")) + name.len();
+    obj[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+/// Every `--> file:L:C` excerpt header of a human report, in order, with
+/// the code of its finding and whether it is the finding's primary span.
+fn human_positions(report: &str, file: &str) -> Vec<(String, bool, (usize, usize))> {
+    let header = format!("--> {file}:");
+    let mut code = String::new();
+    let mut primary = false;
+    let mut out = Vec::new();
+    for line in report.lines() {
+        if let Some(rest) = line
+            .strip_prefix("error[")
+            .or_else(|| line.strip_prefix("warning["))
+        {
+            code = rest[..rest.find(']').unwrap()].to_string();
+            primary = true;
+        } else if let Some(at) = line.find(&header) {
+            let (l, c) = line[at + header.len()..].split_once(':').unwrap();
+            out.push((
+                code.clone(),
+                primary,
+                (l.parse().unwrap(), c.parse().unwrap()),
+            ));
+            primary = false;
+        }
+    }
+    out
+}
+
+#[test]
+fn scaled_report_positions_match_the_counting_oracle() {
+    let dir = std::env::temp_dir().join(format!("slp-lint-scaled-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("scaled.slp");
+    let src = subtype_lp::gen::programs::pipeline_with_errors(700, 3, 5);
+    std::fs::write(&path, &src).unwrap();
+    let file = path.to_str().unwrap();
+
+    // JSON: every primary and related span resolves as the oracle does.
+    let (code, json, _) = lint(&[file, "--format", "json"]);
+    assert_eq!(code, 2);
+    let mut json_positions = Vec::new();
+    for piece in json.split("\"span\":{").skip(1) {
+        let obj = &piece[..piece.find('}').unwrap()];
+        let start = json_field(obj, "\"start\":");
+        let got = (json_field(obj, "\"line\":"), json_field(obj, "\"column\":"));
+        assert_eq!(got, oracle_line_col(start, &src), "span at {start}");
+        json_positions.push(got);
+    }
+    assert!(
+        json_positions.len() > 2_000,
+        "{} spans",
+        json_positions.len()
+    );
+    assert!(json_positions.iter().any(|&(line, _)| line >= 1_000));
+    assert_eq!(json.matches("\"severity\":\"error\"").count(), 5);
+
+    // Human: the excerpt headers are the same spans in the same order.
+    let (code, human, _) = lint(&[file]);
+    assert_eq!(code, 2);
+    let lint_positions = human_positions(&human, file);
+    let headers: Vec<(usize, usize)> = lint_positions.iter().map(|p| p.2).collect();
+    assert_eq!(headers, json_positions);
+    assert!(human.contains(&format!("{file}: 5 error(s), ")), "summary");
+
+    // `slp check` places its E0201 rejections where lint does.
+    let out = Command::new(env!("CARGO_BIN_EXE_slp"))
+        .args(["check", file])
+        .output()
+        .expect("slp runs");
+    assert_eq!(out.status.code(), Some(2));
+    let e0201 = |positions: Vec<(String, bool, (usize, usize))>| -> Vec<(usize, usize)> {
+        positions
+            .into_iter()
+            .filter(|(code, primary, _)| code == "E0201" && *primary)
+            .map(|p| p.2)
+            .collect()
+    };
+    let check_errors = e0201(human_positions(&String::from_utf8_lossy(&out.stderr), file));
+    assert_eq!(check_errors.len(), 5, "{check_errors:?}");
+    assert_eq!(check_errors, e0201(lint_positions));
+    std::fs::remove_dir_all(&dir).ok();
 }
