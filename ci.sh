@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, format, lint, goldens, perf smoke, concurrency,
+# Tier-1 gate: build, test, format, lint, goldens, perf smoke, F-series report,
 # benchmark self-test.
 # Run from the repo root.
 #
@@ -239,6 +239,11 @@ step serve-replay serve_replay
 # never wall time — the gate is load-independent). Re-bless intentional
 # changes with scripts/bless.sh.
 step perf-smoke target/release/report --smoke --baseline BENCH_5.json
+
+# The F-series report: every section asserts the verdicts it times, so a
+# clean run executes each series' checks. Its wall times are printed for
+# EXPERIMENTS.md and never compared.
+step report-series target/release/report > /dev/null
 
 # The ground-closure short-circuit has its own golden: the workload is
 # compared against the committed baseline in isolation, so a regression

@@ -365,11 +365,65 @@ pub fn document_of(measured: Vec<(&'static str, MetricsSnapshot)>) -> JsonValue 
     ])
 }
 
+/// The options of `report --smoke`.
+#[derive(Debug)]
+pub struct SmokeArgs<'a> {
+    /// The committed baseline document (`--baseline`, default
+    /// `BENCH_5.json`).
+    pub baseline: &'a str,
+    /// The relative drift allowed per counter (`--tolerance`, default exact).
+    pub tolerance: f64,
+    /// The single workload to measure and compare (`--only`), if any.
+    pub only: Option<&'a str>,
+}
+
+impl<'a> SmokeArgs<'a> {
+    /// Parses the flags that follow `--smoke`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a flag without its value, or a tolerance that is not
+    /// a finite non-negative number. Each would otherwise weaken the gate
+    /// without a word.
+    pub fn parse(args: &'a [String]) -> Result<Self, String> {
+        let mut parsed = SmokeArgs {
+            baseline: "BENCH_5.json",
+            tolerance: 0.0,
+            only: None,
+        };
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let mut value = || {
+                rest.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{flag} expects a value"))
+            };
+            match flag.as_str() {
+                "--baseline" => parsed.baseline = value()?,
+                "--only" => parsed.only = Some(value()?),
+                "--tolerance" => {
+                    let v = value()?;
+                    parsed.tolerance = v
+                        .parse()
+                        .ok()
+                        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+                        .ok_or_else(|| {
+                            format!("--tolerance expects a finite non-negative number, got `{v}`")
+                        })?;
+                }
+                other => return Err(format!("unknown smoke flag `{other}`")),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
 /// Compares a freshly measured document against the committed baseline.
 ///
 /// Every counter of every workload present in *either* document is
 /// compared; a counter drifts when its relative difference against the
-/// baseline exceeds `tolerance` (`0.0` = exact). Returns one human-readable
+/// baseline exceeds `tolerance` (`0.0` = exact), and a baseline counter the
+/// code no longer measures drifts too. Returns one human-readable
 /// line per drifted (or missing) entry — empty means the gate passes.
 pub fn compare(baseline: &JsonValue, fresh: &JsonValue, tolerance: f64) -> Vec<String> {
     let mut diffs = Vec::new();
@@ -424,6 +478,13 @@ pub fn compare(baseline: &JsonValue, fresh: &JsonValue, tolerance: f64) -> Vec<S
                 _ => {}
             }
         }
+        if let Some(JsonValue::Obj(base_counters)) = base_entry.get("counters") {
+            for (key, _) in base_counters {
+                if !Counter::ALL.iter().any(|c| c.name() == key) {
+                    diffs.push(format!("{name}.{key}: in baseline but no longer measured"));
+                }
+            }
+        }
     }
     for (name, _) in base_wl {
         if !fresh_wl.iter().any(|(n, _)| n == name) {
@@ -463,6 +524,59 @@ mod tests {
         assert!(diffs[0].contains("subtype_goals"), "{diffs:?}");
         // A generous tolerance forgives the same drift.
         assert!(compare(&tampered, &doc, 0.05).is_empty());
+        // A baseline counter the code no longer measures is drift too.
+        let retired = doc
+            .render()
+            .replacen("\"counters\":{", "\"counters\":{\"retired\":7,", 1);
+        let diffs = compare(&JsonValue::parse(&retired).unwrap(), &doc, 0.0);
+        assert_eq!(
+            diffs,
+            ["f6_alpha_batch.retired: in baseline but no longer measured"]
+        );
+    }
+
+    /// `SmokeArgs::parse` over string literals, with owned results.
+    fn parse(args: &[&str]) -> Result<(String, f64, Option<String>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        SmokeArgs::parse(&args).map(|a| (a.baseline.into(), a.tolerance, a.only.map(Into::into)))
+    }
+
+    #[test]
+    fn smoke_args_parse_every_flag() {
+        assert_eq!(parse(&[]), Ok(("BENCH_5.json".into(), 0.0, None)));
+        assert_eq!(
+            parse(&[
+                "--baseline",
+                "b.json",
+                "--tolerance",
+                "0.5",
+                "--only",
+                "storm"
+            ]),
+            Ok(("b.json".into(), 0.5, Some("storm".into())))
+        );
+    }
+
+    #[test]
+    fn smoke_args_reject_a_tolerance_that_disables_the_gate() {
+        for bad in ["nan", "inf", "-0.1", "x"] {
+            let err = parse(&["--tolerance", bad]).unwrap_err();
+            assert!(err.starts_with("--tolerance expects"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn smoke_args_reject_a_missing_value() {
+        for flag in ["--only", "--baseline", "--tolerance"] {
+            let err = parse(&["--tolerance", "0", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} expects a value"));
+        }
+    }
+
+    #[test]
+    fn smoke_args_reject_an_unknown_flag() {
+        let err = parse(&["--onyl", "ground_closure"]).unwrap_err();
+        assert_eq!(err, "unknown smoke flag `--onyl`");
     }
 
     #[test]

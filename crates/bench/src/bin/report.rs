@@ -1,6 +1,6 @@
 //! Prints the full experiment report (the series recorded in
 //! EXPERIMENTS.md) in one pass: wall-clock timings plus search-effort
-//! counters that Criterion cannot show.
+//! counters. Every series asserts its verdicts as it times them.
 //!
 //! Run with: `cargo run --release -p bench --bin report`
 //!
@@ -8,21 +8,25 @@
 //!
 //! * `report --bench5 [--out FILE]` — run the deterministic BENCH_5
 //!   workloads and write the versioned counter document (stdout default).
-//! * `report --smoke [--baseline FILE] [--tolerance F]` — re-measure and
-//!   compare against the committed baseline (default `BENCH_5.json`,
-//!   exact match); exits 1 with a per-counter diff on drift. Wall time is
-//!   never compared, so the gate is load-independent.
+//! * `report --smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]` —
+//!   re-measure and compare against the committed baseline (default
+//!   `BENCH_5.json`, exact match); exits 1 with a per-counter diff on
+//!   drift, and 2 on a malformed flag. Wall time is never compared, so the
+//!   gate is load-independent.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
+use bench::CheckWorkload;
 use lp_baseline::{FuncSigTable, Mo84Checker};
-use lp_engine::{Query, SolveConfig};
+use lp_engine::{Clause, Query, SolveConfig};
 use lp_gen::{programs, worlds};
-use lp_term::Term;
+use lp_term::{Term, Var};
 use subtype_core::consistency::{AuditConfig, Auditor};
+use subtype_core::obs::json::JsonValue;
 use subtype_core::{
-    analysis, Checker, DependenceGraph, HornTheory, NaiveProver, ProofTable, Prover, TabledProver,
+    analysis, Checker, DependenceGraph, HornTheory, NaiveProver, ProofTable, Prover, ProverConfig,
+    TabledProver,
 };
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
@@ -39,6 +43,21 @@ fn time_n<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
     t0.elapsed() / n as u32
 }
 
+/// The clauses of `w`, in source order.
+fn clauses_of(w: &CheckWorkload) -> Vec<Clause> {
+    w.module.clauses.iter().map(|c| c.clause.clone()).collect()
+}
+
+/// Mean time of one Jacobs check of the whole of `w`, which must be
+/// well-typed.
+fn jacobs_check(w: &CheckWorkload, iters: usize) -> Duration {
+    let clauses = clauses_of(w);
+    let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
+    time_n(iters, || {
+        checker.check_program(clauses.iter()).expect("well-typed")
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -47,7 +66,7 @@ fn main() {
         Some(other) => {
             eprintln!(
                 "report: unknown flag `{other}`\nusage: report [--bench5 [--out FILE]] \
-                 [--smoke [--baseline FILE] [--tolerance F]]"
+                 [--smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]]"
             );
             std::process::exit(2);
         }
@@ -60,6 +79,7 @@ fn main() {
             f5();
             f6();
             f7();
+            ablations();
         }
     }
 }
@@ -72,17 +92,23 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The value of `r`, or exit 2 with its error: a usage or input error of
+/// `--bench5` or `--smoke`.
+fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `report --bench5 [--out FILE]`: measure and emit the BENCH_5 document.
 fn bench5_mode(args: &[String]) {
     let doc = bench::bench5::document().render();
     match flag_value(args, "--out") {
         Some(path) => {
-            let mut text = doc;
-            text.push('\n');
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("report: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
+            or_exit(
+                std::fs::write(path, doc + "\n").map_err(|e| format!("cannot write {path}: {e}")),
+            );
             eprintln!("wrote {path}");
         }
         None => println!("{doc}"),
@@ -91,84 +117,42 @@ fn bench5_mode(args: &[String]) {
 
 /// Keeps only the named workload in a BENCH_5 document (for `--only`
 /// comparisons against a full committed baseline).
-fn filter_workloads(
-    doc: subtype_core::obs::json::JsonValue,
-    name: &str,
-) -> subtype_core::obs::json::JsonValue {
-    use subtype_core::obs::json::JsonValue;
-    let JsonValue::Obj(fields) = doc else {
-        return doc;
-    };
-    JsonValue::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "workloads" {
-                    let kept = match v {
-                        JsonValue::Obj(wl) => {
-                            JsonValue::Obj(wl.into_iter().filter(|(n, _)| n == name).collect())
-                        }
-                        other => other,
-                    };
-                    (k, kept)
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-    )
+fn filter_workloads(mut doc: JsonValue, name: &str) -> JsonValue {
+    if let JsonValue::Obj(fields) = &mut doc {
+        if let Some((_, JsonValue::Obj(wl))) = fields.iter_mut().find(|(k, _)| k == "workloads") {
+            wl.retain(|(n, _)| n == name);
+        }
+    }
+    doc
 }
 
 /// `report --smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]`:
 /// the CI perf gate. `--only` measures (and compares) a single workload.
 fn smoke_mode(args: &[String]) {
-    let path = flag_value(args, "--baseline").unwrap_or("BENCH_5.json");
-    let tolerance: f64 = match flag_value(args, "--tolerance") {
-        None => 0.0,
-        Some(v) => match v.parse() {
-            Ok(t) => t,
-            Err(_) => {
-                eprintln!("report: --tolerance expects a number, got `{v}`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("report: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let baseline = match subtype_core::obs::json::JsonValue::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("report: baseline {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        }
-    };
-    let only = flag_value(args, "--only");
+    use bench::bench5::{compare, document, document_of, workloads_named, SmokeArgs};
+    let SmokeArgs {
+        baseline: path,
+        tolerance,
+        only,
+    } = or_exit(SmokeArgs::parse(&args[1..]));
+    let text = or_exit(
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}")),
+    );
+    let baseline = or_exit(
+        JsonValue::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}")),
+    );
     let (baseline, fresh) = match only {
-        Some(name) => {
-            let measured = match bench::bench5::workloads_named(&[name]) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("report: {e}");
-                    std::process::exit(2);
-                }
-            };
-            (
-                filter_workloads(baseline, name),
-                bench::bench5::document_of(measured),
-            )
-        }
-        None => (baseline, bench::bench5::document()),
+        Some(name) => (
+            filter_workloads(baseline, name),
+            document_of(or_exit(workloads_named(&[name]))),
+        ),
+        None => (baseline, document()),
     };
     let workload_count = match fresh.get("workloads") {
-        Some(subtype_core::obs::json::JsonValue::Obj(wl)) => wl.len(),
+        Some(JsonValue::Obj(wl)) => wl.len(),
         _ => 0,
     };
-    let diffs = bench::bench5::compare(&baseline, &fresh, tolerance);
+    let diffs = compare(&baseline, &fresh, tolerance);
     if diffs.is_empty() {
         eprintln!(
             "smoke: counters match {path} ({workload_count} workload(s), tolerance {tolerance})"
@@ -224,23 +208,58 @@ fn f1() {
     println!();
 }
 
-/// F2: match latency vs term size / constraint count.
+/// F2: match latency vs term size, constraint count and nesting depth.
 fn f2() {
     println!("## F2 — match latency\n");
+    let time_match = |w: &CheckWorkload, ty: &Term, t: &Term| {
+        time_n(200, || {
+            assert!(subtype_core::match_type(&w.module.sig, &w.checked, ty, t)
+                .typing()
+                .is_some());
+        })
+    };
     let w = bench::workload(programs::LIST_DECLS);
-    let list = w.module.sig.lookup("list").unwrap();
-    let int = w.module.sig.lookup("int").unwrap();
+    let sym = |name: &str| w.module.sig.lookup(name).unwrap();
+    let (list, int, cons, nil) = (sym("list"), sym("int"), sym("cons"), sym("nil"));
     let ty = Term::app(list, vec![Term::constant(int)]);
     println!("list length n | match(list(int), [x1..xn])");
     println!("--------------|---------------------------");
     for &n in bench::F2_SIZES {
-        let t = bench::int_list(&w.module, n);
-        let d = time_n(200, || {
-            assert!(subtype_core::match_type(&w.module.sig, &w.checked, &ty, &t)
-                .typing()
-                .is_some());
-        });
+        let d = time_match(&w, &ty, &bench::int_list(&w.module, n));
         println!("{n:13} | {d:?}");
+    }
+
+    // One constructor with k union variants: match tries each expansion
+    // branch, and the term uses the last one.
+    println!("\nconstraint count k (t >= g_i(t), i < k) | match(t, g_k-1(base))");
+    println!("----------------------------------------|----------------------");
+    for &k in &[2usize, 8, 32] {
+        let funcs: String = (0..k).map(|i| format!("g{i}, ")).collect();
+        let variants: String = (0..k).map(|i| format!("t >= g{i}(t).\n")).collect();
+        let src = format!("FUNC {funcs}base.\nTYPE t.\n{variants}t >= base.\n");
+        let wk = bench::workload(&src);
+        let sym = |name: &str| wk.module.sig.lookup(name).unwrap();
+        let term = Term::app(
+            sym(&format!("g{}", k - 1)),
+            vec![Term::constant(sym("base"))],
+        );
+        let d = time_match(&wk, &Term::constant(sym("t")), &term);
+        println!("{k:39} | {d:?}");
+    }
+
+    // list^d(list(int)) against an equally nested ground list: each level
+    // wraps both the type and a two-element int list in one more list layer.
+    println!("\nnesting depth d | match(list^d(list(int)), [..[x1, x2]..])");
+    println!("---------------|-----------------------------------------");
+    for &d in &[1usize, 4, 16] {
+        let mut nested_ty = ty.clone();
+        let mut t = bench::int_list(&w.module, 2);
+        for _ in 0..d {
+            nested_ty = Term::app(list, vec![nested_ty]);
+            t = Term::app(cons, vec![t, Term::constant(nil)]);
+        }
+        let dur = time_match(&w, &nested_ty, &t);
+        println!("{d:14} | {dur:?}");
     }
     println!();
 }
@@ -251,13 +270,9 @@ fn f3() {
     println!("preds n | clauses | Jacobs | MO84 | ratio");
     println!("--------|---------|--------|------|------");
     for &n in bench::F3_SIZES {
-        let src = programs::pipeline(n, 2);
-        let w = bench::workload(&src);
-        let clauses: Vec<_> = w.module.clauses.iter().map(|c| c.clause.clone()).collect();
-        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
-        let jac = time_n(20, || {
-            checker.check_program(clauses.iter()).expect("well-typed")
-        });
+        let w = bench::workload(&programs::pipeline(n, 2));
+        let clauses = clauses_of(&w);
+        let jac = jacobs_check(&w, 20);
         let funcs = FuncSigTable::from_constraints(&w.module.sig, &w.raw).unwrap();
         let mo = Mo84Checker::new(&w.module.sig, &funcs, &w.preds);
         let mo84 = time_n(20, || mo.check_program(clauses.iter()).expect("well-typed"));
@@ -267,17 +282,36 @@ fn f3() {
             clauses.len()
         );
     }
+
+    // Negative path: how fast is a corrupted pipeline rejected?
+    println!("\nrejection latency (pipeline_with_errors(n, 2, 2)):\n");
+    println!("preds n | Jacobs reject (2 errors)");
+    println!("--------|-------------------------");
+    for &n in &[4usize, 16] {
+        let w = bench::workload(&programs::pipeline_with_errors(n, 2, 2));
+        let clauses = clauses_of(&w);
+        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
+        let reject = time_n(20, || {
+            let errors = checker
+                .check_program(clauses.iter())
+                .expect_err("corrupted");
+            assert_eq!(errors.len(), 2);
+        });
+        println!("{n:7} | {reject:?}");
+    }
+
+    // The fact bases use the full nat/unnat/int declarations with
+    // heterogeneous facts, the fragment MO84 rejects outright. Sizes are
+    // 3·F3_SIZES plus 16 and 64.
+    let mut sizes: Vec<usize> = bench::F3_SIZES.iter().map(|n| 3 * n).collect();
+    sizes.extend([16, 64]);
+    sizes.sort_unstable();
     println!("\nsubtype-rich fact bases (MO84 cannot express these at all):\n");
     println!("facts | Jacobs check | MO84");
     println!("------|--------------|-----");
-    for &n in &[16usize, 64] {
-        let src = programs::fact_base(n);
-        let w = bench::workload(&src);
-        let clauses: Vec<_> = w.module.clauses.iter().map(|c| c.clause.clone()).collect();
-        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
-        let jac = time_n(20, || {
-            checker.check_program(clauses.iter()).expect("well-typed")
-        });
+    for n in sizes {
+        let w = bench::workload(&programs::fact_base(n));
+        let jac = jacobs_check(&w, 20);
         let mo84 = match FuncSigTable::from_constraints(&w.module.sig, &w.raw) {
             Err(e) => format!("rejected: {e}"),
             Ok(_) => "unexpectedly accepted".to_string(),
@@ -300,8 +334,7 @@ fn f4() {
             let mut q = Query::new(&db, goals.clone(), SolveConfig::default());
             assert!(q.next_solution().is_some());
         });
-        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
-        let auditor = Auditor::new(checker);
+        let auditor = Auditor::new(Checker::new(&w.module.sig, &w.checked, &w.preds));
         let config = AuditConfig {
             max_solutions: 1,
             ..AuditConfig::default()
@@ -314,6 +347,30 @@ fn f4() {
         });
         let ratio = audited.as_secs_f64() / plain.as_secs_f64().max(1e-12);
         println!("{n:2} | {plain:>9.2?} | {audited:>11.2?} | {resolvents:10} | {ratio:.1}x");
+    }
+
+    // Wide, shallow derivations: the per-resolvent audit cost dominates.
+    println!("\nfact scan (fact_base(n), all n solutions):\n");
+    println!("n  | plain run | audited run | ratio");
+    println!("---|-----------|-------------|------");
+    for &n in &[16usize, 64] {
+        let w = bench::workload(&programs::fact_base(n));
+        let db = w.module.database();
+        let goals = w.module.queries[0].goals.clone();
+        let plain = time_n(10, || {
+            let mut q = Query::new(&db, goals.clone(), SolveConfig::default());
+            assert_eq!(std::iter::from_fn(|| q.next_solution()).count(), n);
+        });
+        let auditor = Auditor::new(Checker::new(&w.module.sig, &w.checked, &w.preds));
+        let config = AuditConfig {
+            max_solutions: n,
+            ..AuditConfig::default()
+        };
+        let audited = time_n(10, || {
+            assert_eq!(auditor.run(&db, &goals, config).solutions.len(), n);
+        });
+        let ratio = audited.as_secs_f64() / plain.as_secs_f64().max(1e-12);
+        println!("{n:2} | {plain:>9.2?} | {audited:>11.2?} | {ratio:.1}x");
     }
     println!();
 }
@@ -346,6 +403,20 @@ fn f5() {
             assert!(HornTheory::build(&world.sig, &world.cs).database().len() > n);
         });
         println!("{n:5} | {m:11} | {uni:>10.2?} | {grd:>11.2?} | {horn:>9.2?}");
+    }
+
+    // Long dependence chains are the worst case for the cycle check.
+    println!("\ndependence chains (worlds::chain(d)):\n");
+    println!("chain d | guardedness");
+    println!("--------|------------");
+    for &d in &[16usize, 64, 256] {
+        let world = worlds::chain(d);
+        let grd = time_n(50, || {
+            DependenceGraph::build(&world.sig, &world.cs)
+                .check_guarded(&world.sig)
+                .unwrap()
+        });
+        println!("{d:7} | {grd:>11.2?}");
     }
     println!();
 }
@@ -423,8 +494,7 @@ fn f6() {
 
 /// F7: parallel scaling of the batch pipeline over the shared table.
 fn f7() {
-    use lp_engine::Clause;
-    use subtype_core::{par, ParallelChecker, ShardedProofTable, TabledProver};
+    use subtype_core::{par, ParallelChecker, ShardedProofTable};
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -435,95 +505,144 @@ fn f7() {
     // (a) File-level batch: the `slp check f1 f2 … --jobs N` shape. Each
     // worker checks whole programs; sizes are staggered so the pool has to
     // balance an uneven batch.
-    let workloads: Vec<bench::CheckWorkload> = bench::f7_corpus()
+    let workloads: Vec<CheckWorkload> = bench::f7_corpus()
         .iter()
         .map(|s| bench::workload(s))
         .collect();
-    println!(
-        "file batch ({} pipeline programs): jobs | wall | speedup",
-        workloads.len()
-    );
-    println!("jobs | wall     | speedup");
-    println!("-----|----------|--------");
-    let mut base = Duration::ZERO;
-    for &jobs in bench::F7_JOBS {
-        let wall = time_n(5, || {
-            let oks = par::run_indexed(jobs, &workloads, |_, w| {
-                let table = ShardedProofTable::new();
-                let checker =
-                    ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, 1);
-                let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
-                checker.check_program(&clauses).is_ok()
-            });
-            assert!(oks.into_iter().all(|ok| ok));
+    println!("file batch ({} pipeline programs):\n", workloads.len());
+    jobs_sweep(|jobs| {
+        let oks = par::run_indexed(jobs, &workloads, |_, w| {
+            let table = ShardedProofTable::new();
+            let checker =
+                ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, 1);
+            let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
+            checker.check_program(&clauses).is_ok()
         });
-        if jobs == 1 {
-            base = wall;
-        }
-        let speedup = base.as_secs_f64() / wall.as_secs_f64().max(1e-12);
-        println!("{jobs:4} | {wall:>8.2?} | {speedup:6.2}x");
-    }
+        assert!(oks.into_iter().all(|ok| ok));
+        None
+    });
 
     // (b) Clause-level parallel check of one large program, all workers
     // sharing one table (the single-file `--jobs N` shape).
     let w = bench::workload(&programs::pipeline(64, 3));
     let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
     println!("\nclause-parallel check (pipeline(64, 3), shared proof table):\n");
-    println!("jobs | wall     | speedup | hit rate");
-    println!("-----|----------|---------|---------");
-    let mut base = Duration::ZERO;
-    for &jobs in bench::F7_JOBS {
-        let mut hit_rate = 0.0;
-        let wall = time_n(5, || {
-            let table = ShardedProofTable::new();
-            let checker =
-                ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, jobs);
-            assert!(checker.check_program(&clauses).is_ok());
-            hit_rate = table.stats().hit_rate();
-        });
-        if jobs == 1 {
-            base = wall;
-        }
-        let speedup = base.as_secs_f64() / wall.as_secs_f64().max(1e-12);
-        println!(
-            "{jobs:4} | {wall:>8.2?} | {speedup:6.2}x | {:7.1}%",
-            100.0 * hit_rate
-        );
-    }
+    jobs_sweep(|jobs| {
+        let table = ShardedProofTable::new();
+        let checker =
+            ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, jobs);
+        assert!(checker.check_program(&clauses).is_ok());
+        Some(table.stats().hit_rate())
+    });
 
     // (c) Concurrent alpha-variant subtype batch: a judgement derived on
-    // one thread is a cache hit for every other thread, so the steady hit
-    // rate should stay near the F6 single-thread rate at every job count.
+    // one thread is a cache hit for every other thread, but two workers
+    // can both miss it before either inserts, so misses stay at most
+    // `distinct × jobs`.
     let mut world = worlds::paper_world();
     let goals = bench::alpha_variant_goals(&mut world, 256, bench::F7_DISTINCT);
     println!(
         "\nconcurrent subtype batch (256 goals, {} distinct):\n",
         bench::F7_DISTINCT
     );
+    jobs_sweep(|jobs| {
+        let table = ShardedProofTable::new();
+        let oks = par::run_indexed(jobs, &goals, |_, (sup, sub)| {
+            TabledProver::new(&world.sig, &world.checked, &table)
+                .subtype(sup, sub)
+                .is_proved()
+        });
+        assert!(oks.into_iter().all(|ok| ok));
+        Some(table.stats().hit_rate())
+    });
+    println!();
+}
+
+/// Times `run(jobs)` for each of `F7_JOBS` and prints its wall time, its
+/// speedup over one job, and the table hit rate `run` returns, if any.
+fn jobs_sweep(mut run: impl FnMut(usize) -> Option<f64>) {
     println!("jobs | wall     | speedup | hit rate");
     println!("-----|----------|---------|---------");
     let mut base = Duration::ZERO;
     for &jobs in bench::F7_JOBS {
-        let mut hit_rate = 0.0;
-        let wall = time_n(5, || {
-            let table = ShardedProofTable::new();
-            let world = &world;
-            let oks = par::run_indexed(jobs, &goals, |_, (sup, sub)| {
-                TabledProver::new(&world.sig, &world.checked, &table)
-                    .subtype(sup, sub)
-                    .is_proved()
-            });
-            assert!(oks.into_iter().all(|ok| ok));
-            hit_rate = table.stats().hit_rate();
-        });
+        let mut hit_rate = None;
+        let wall = time_n(5, || hit_rate = run(jobs));
         if jobs == 1 {
             base = wall;
         }
         let speedup = base.as_secs_f64() / wall.as_secs_f64().max(1e-12);
-        println!(
-            "{jobs:4} | {wall:>8.2?} | {speedup:6.2}x | {:7.1}%",
-            100.0 * hit_rate
-        );
+        let hits = hit_rate.map_or("—".to_string(), |h| format!("{:.1}%", 100.0 * h));
+        println!("{jobs:4} | {wall:>8.2?} | {speedup:6.2}x | {hits:>8}");
     }
+}
+
+/// Ablations of two design choices (DESIGN.md): the prover's
+/// variable-enumeration budget, and the checker's deferred lower bounds.
+fn ablations() {
+    println!("## Ablations — enumeration budget and deferred bounds\n");
+    let w = bench::workload(programs::LIST_DECLS);
+    let sig = &w.module.sig;
+    let sym = |name: &str| sig.lookup(name).unwrap();
+    let prover = |budget| {
+        Prover::with_config(
+            sig,
+            &w.checked,
+            ProverConfig {
+                var_expansion_budget: budget,
+                ..ProverConfig::default()
+            },
+        )
+    };
+
+    // [0, pred(0)] ∈ list(A) needs A = int (or unnat), found only by
+    // enumeration: budget 0 is fast but inconclusive.
+    let (cons, nil, zero) = (sym("cons"), sym("nil"), Term::constant(sym("0")));
+    let t = Term::app(
+        cons,
+        vec![
+            zero.clone(),
+            Term::app(
+                cons,
+                vec![Term::app(sym("pred"), vec![zero]), Term::constant(nil)],
+            ),
+        ],
+    );
+    let ty = Term::app(sym("list"), vec![Term::Var(Var(900_000))]);
+    println!("budget | list(A) >= [0, pred(0)] | verdict");
+    println!("-------|-------------------------|--------");
+    for budget in [0u32, 2, 4, 16] {
+        let p = prover(budget);
+        let d = time_n(100, || {
+            let proof = p.subtype(&ty, &t);
+            if budget == 0 {
+                assert!(proof.is_unknown());
+            } else {
+                assert!(proof.is_proved());
+            }
+        });
+        let verdict = if budget == 0 { "unknown" } else { "proved" };
+        println!("{budget:6} | {d:>23.2?} | {verdict}");
+    }
+
+    // Ground queries never enumerate: the budget must be free here.
+    let ty = Term::app(sym("list"), vec![Term::constant(sym("int"))]);
+    let t = bench::int_list(&w.module, 32);
+    println!("\nbudget | ground member of list(int), 32 cells");
+    println!("-------|-------------------------------------");
+    for budget in [0u32, 16] {
+        let p = prover(budget);
+        let d = time_n(100, || assert!(p.member(&ty, &t).is_proved()));
+        println!("{budget:6} | {d:.2?}");
+    }
+
+    // Pipelines never defer a bound (all agreement is by unification), so
+    // the finalize pass must be near-free on them; every query atom of a
+    // fact base defers one bound per fact.
+    println!("\nprogram                | Jacobs check");
+    println!("-----------------------|-------------");
+    let pipeline = jacobs_check(&bench::workload(&programs::pipeline(16, 2)), 20);
+    println!("pipeline(16, 2)        | {pipeline:>12.2?}");
+    let facts = jacobs_check(&bench::workload(&programs::fact_base(48)), 20);
+    println!("fact_base(48)          | {facts:>12.2?}");
     println!();
 }

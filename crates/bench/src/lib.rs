@@ -1,8 +1,10 @@
 //! Shared workload setup for the benchmark harness (experiments F1–F7).
 //!
-//! Each `benches/*.rs` target regenerates one experiment from
-//! `EXPERIMENTS.md`; the `report` binary prints all series in one pass with
-//! wall-clock timings and search-effort counters.
+//! The `report` binary prints every series of `EXPERIMENTS.md` in one pass,
+//! with wall-clock timings and search-effort counters, and asserts each
+//! verdict it times. [`bench5`] holds the counter baseline that
+//! `report --smoke` gates CI on. Wall time of the `slp` binary itself is
+//! measured by `perfbench/`.
 
 use lp_parser::Module;
 use lp_term::Term;

@@ -664,10 +664,25 @@ impl MetricsRegistry {
     ///
     /// A no-op when no sink is installed. Write errors disable the sink
     /// rather than panicking mid-proof.
+    #[inline]
     pub fn trace(&self, event: &TraceEvent<'_>) {
         if !self.tracing() {
             return;
         }
+        self.write_trace(event);
+    }
+
+    /// Renders and writes one trace record. `seq` and `t_ns` are drawn
+    /// while the sink lock is held, so records land in `seq` order even
+    /// when several workers trace at once. Kept out of line so the callers
+    /// of [`MetricsRegistry::trace`] inline only the `tracing` check.
+    #[cold]
+    #[inline(never)]
+    fn write_trace(&self, event: &TraceEvent<'_>) {
+        let mut sink = self.trace.lock().expect("trace sink lock");
+        let Some(w) = sink.as_mut() else {
+            return;
+        };
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let mut line = format!(
@@ -676,12 +691,9 @@ impl MetricsRegistry {
         );
         event.payload(&mut line);
         line.push_str("}\n");
-        let mut sink = self.trace.lock().expect("trace sink lock");
-        if let Some(w) = sink.as_mut() {
-            if w.write_all(line.as_bytes()).is_err() {
-                *sink = None;
-                self.trace_on.store(false, Ordering::Release);
-            }
+        if w.write_all(line.as_bytes()).is_err() {
+            *sink = None;
+            self.trace_on.store(false, Ordering::Release);
         }
     }
 
@@ -1227,13 +1239,16 @@ pub mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (we validated UTF-8 at entry
-                    // via `&str`, so slicing on char boundaries is safe).
-                    let rest = std::str::from_utf8(&bytes[*pos..])
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary, and each
+                    // byte is validated once.
+                    let start = *pos;
+                    while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                        *pos += 1;
+                    }
+                    let run = std::str::from_utf8(&bytes[start..*pos])
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -1338,26 +1353,32 @@ mod tests {
         );
     }
 
+    /// An in-memory trace sink shared between a test and the registry.
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+
+    impl Buf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Buf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn trace_sink_receives_jsonl_events() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let obs = MetricsRegistry::new();
         assert!(!obs.tracing());
         obs.trace(&TraceEvent::TableHit { key: "noop" });
-        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
+        let buf = Buf::default();
         obs.set_trace(Box::new(buf.clone()));
         assert!(obs.tracing());
         obs.trace(&TraceEvent::TableHit { key: "k\"1" });
@@ -1368,7 +1389,7 @@ mod tests {
         });
         obs.take_trace();
         assert!(!obs.tracing());
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "pre-sink event dropped, two captured");
         let first = JsonValue::parse(lines[0]).expect("jsonl line parses");
@@ -1381,6 +1402,42 @@ mod tests {
             Some("proved")
         );
         assert_eq!(second.get("nanos").and_then(|v| v.as_u64()), Some(9));
+    }
+
+    #[test]
+    fn concurrent_trace_lines_are_written_in_seq_order() {
+        const THREADS: usize = 4;
+        const EVENTS: usize = 5_000;
+        let obs = MetricsRegistry::new();
+        let buf = Buf::default();
+        obs.set_trace(Box::new(buf.clone()));
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..EVENTS {
+                        obs.trace(&TraceEvent::TableHit { key: "k" });
+                    }
+                });
+            }
+        });
+        obs.take_trace();
+        let seqs: Vec<u64> = buf
+            .text()
+            .lines()
+            .filter_map(|line| JsonValue::parse(line).ok()?.get("seq")?.as_u64())
+            .collect();
+        let expected: Vec<u64> = (0..(THREADS * EVENTS) as u64).collect();
+        assert!(seqs == expected, "trace lines left seq order");
+    }
+
+    #[test]
+    fn json_strings_keep_multibyte_text_between_escapes() {
+        let text = "\"é✓\\n:- p(X).\\\"x\\\"𝄞\"";
+        let value = JsonValue::parse(text).unwrap();
+        assert_eq!(value.as_str(), Some("é✓\n:- p(X).\"x\"𝄞"));
+        assert_eq!(value.render(), text);
     }
 
     #[test]
