@@ -223,13 +223,24 @@ step stats-golden stats_golden
 # is piped through `slp serve` and the response stream must match the
 # committed golden byte-for-byte under both one worker and four — the
 # daemon's fault recovery and incremental re-checking are part of the
-# pinned contract.
+# pinned contract. Under --no-table the stream is the same except for the
+# two table-derived counts, which are an empty table's: a delta keeps no
+# entries (`reused`, `incremental_reuse` are 0).
 serve_replay() {
   local jobs
   for jobs in 1 4; do
     target/release/slp serve --stdio --jobs "$jobs" --faults panic@5 \
       < tests/golden/serve_session.requests > "$tmp/serve.$jobs"
     diff -u tests/golden/serve_session.golden "$tmp/serve.$jobs"
+  done
+  sed -e 's/"reused":1/"reused":0/' \
+    -e 's/"incremental_reuse":1/"incremental_reuse":0/' \
+    tests/golden/serve_session.golden > "$tmp/serve_untabled.golden"
+  for jobs in 1 4; do
+    target/release/slp serve --stdio --jobs "$jobs" --faults panic@5 \
+      --no-table < tests/golden/serve_session.requests \
+      > "$tmp/serve_untabled.$jobs"
+    diff -u "$tmp/serve_untabled.golden" "$tmp/serve_untabled.$jobs"
   done
 }
 step serve-replay serve_replay

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lp_term::{Signature, Subst, Sym, SymKind, Term, VarGen};
+use lp_term::{Signature, Sym, SymKind, Term, VarGen};
 
 use crate::analysis::{self, TypeDeclError};
 use crate::closure::GroundClosure;
@@ -319,27 +319,40 @@ impl CheckedConstraints {
             .for_ctor_indexed(c)
             .filter(|(_, con)| con.params().len() == args.len())
             .map(|(idx, con)| {
-                // Uniformity: parameters are distinct variables, so this
-                // substitution is exactly the paper's {αᵢ ↦ τᵢ}.
-                let bindings = con
-                    .params()
-                    .iter()
-                    .zip(args)
-                    .map(|(p, a)| match p {
-                        Term::Var(v) => (*v, a.clone()),
-                        _ => unreachable!("checked constraints are uniform"),
-                    })
-                    .collect::<Subst>();
-                (idx, bindings.resolve(&con.rhs))
+                // Uniformity: parameters are distinct variables, so the
+                // paper's {αᵢ ↦ τᵢ} replaces each variable by the argument
+                // at its parameter's position. Standardized-apart arguments
+                // mention no αⱼ, so nothing substituted needs resolving.
+                let params = con.params();
+                let expansion = con.rhs.map_vars(&mut |v| {
+                    params
+                        .iter()
+                        .position(|p| *p == Term::Var(v))
+                        .map_or(Term::Var(v), |i| args[i].clone())
+                });
+                (idx, expansion)
             })
             .collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use lp_term::SymKind;
+    use lp_term::{Subst, SymKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// This crate's checked constraints for an `lp-gen` world. `lp-gen`
+    /// links its own build of this crate, so its `checked` field is a
+    /// different type here; the constraints are rebuilt from the same terms.
+    pub(crate) fn checked_of(w: &lp_gen::worlds::BuiltWorld) -> CheckedConstraints {
+        let mut cs = ConstraintSet::new();
+        for c in w.cs.constraints() {
+            cs.add(&w.sig, c.lhs.clone(), c.rhs.clone()).unwrap();
+        }
+        cs.checked(&w.sig).unwrap()
+    }
 
     fn nat_sig() -> (Signature, VarGen) {
         let mut sig = Signature::new();
@@ -531,5 +544,52 @@ mod tests {
             prev.ground_closure().decide(&Term::constant(nat), &one),
             Some(false)
         );
+    }
+
+    #[test]
+    fn positional_expansion_equals_the_substitution() {
+        // The former implementation built a `Subst` {αᵢ ↦ τᵢ} per
+        // expansion and resolved the right-hand side through it.
+        fn by_subst(checked: &CheckedConstraints, ty: &Term) -> Vec<(usize, Term)> {
+            let Some(c) = ty.functor() else {
+                return Vec::new();
+            };
+            checked
+                .as_set()
+                .for_ctor_indexed(c)
+                .filter(|(_, con)| con.params().len() == ty.args().len())
+                .map(|(idx, con)| {
+                    let bindings = con
+                        .params()
+                        .iter()
+                        .zip(ty.args())
+                        .map(|(p, a)| match p {
+                            Term::Var(v) => (*v, a.clone()),
+                            _ => unreachable!("checked constraints are uniform"),
+                        })
+                        .collect::<Subst>();
+                    (idx, bindings.resolve(&con.rhs))
+                })
+                .collect()
+        }
+        let mut compared = 0;
+        for seed in 0..40 {
+            let mut w = if seed == 0 {
+                lp_gen::worlds::paper_world()
+            } else {
+                lp_gen::worlds::random(seed, lp_gen::worlds::RandomWorldConfig::default())
+            };
+            let checked = checked_of(&w);
+            // Goal variables come from past the declarations' watermark.
+            let vars = [w.gen.fresh(), w.gen.fresh()];
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                let ty = lp_gen::terms::random_type(&mut rng, &w, 3, &vars);
+                let want = by_subst(&checked, &ty);
+                compared += want.len();
+                assert_eq!(checked.expansions_indexed(&ty), want, "{ty:?}");
+            }
+        }
+        assert!(compared > 500, "only {compared} expansions compared");
     }
 }

@@ -39,6 +39,11 @@ use std::sync::Mutex;
 
 use crate::obs::{Counter, MetricsRegistry};
 
+/// Stack size of every pool worker: the 8 MiB a Linux main thread gets, so
+/// input that checks with `--jobs 1` on the main thread cannot overflow a
+/// worker under `--jobs N` (std gives spawned threads 2 MiB by default).
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Upper bound on the auto-selected chunk size: big enough to amortise
 /// deque traffic, small enough that a skewed tail can still be stolen.
 const MAX_AUTO_CHUNK: usize = 32;
@@ -168,7 +173,8 @@ where
             let remaining = &remaining;
             let collected = &collected;
             let f = &f;
-            scope.spawn(move || {
+            let worker = std::thread::Builder::new().stack_size(WORKER_STACK_BYTES);
+            let spawned = worker.spawn_scoped(scope, move || {
                 let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ ((me as u64 + 1) << 1);
                 let mut local: Vec<(usize, R)> = Vec::new();
                 while remaining.load(Ordering::Acquire) > 0 {
@@ -222,6 +228,7 @@ where
                         .extend(local);
                 }
             });
+            spawned.expect("spawn a pool worker");
         }
     });
 

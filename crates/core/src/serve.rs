@@ -101,6 +101,11 @@ pub struct ServeConfig {
     pub default_budget: Option<u64>,
     /// Deterministic fault-injection schedule (empty in production).
     pub faults: FaultPlan,
+    /// Whether `check` proves through the session's warm proof table
+    /// (`false` is `slp serve --no-table`). Verdicts are the same either
+    /// way; untabled, a `delta` keeps no entries, so `reused` and
+    /// `incremental_reuse` stay 0.
+    pub tabling: bool,
 }
 
 impl Default for ServeConfig {
@@ -111,6 +116,7 @@ impl Default for ServeConfig {
             default_deadline_ms: None,
             default_budget: None,
             faults: FaultPlan::none(),
+            tabling: true,
         }
     }
 }
@@ -430,13 +436,12 @@ impl ServeSession {
         };
 
         let budget = budget_limit.map(Budget::new);
-        let checker = ParallelChecker::with_table(
-            &program.module.sig,
-            &program.checked,
-            &program.preds,
-            &self.table,
-            self.config.jobs,
-        )
+        let (sig, checked, preds) = (&program.module.sig, &program.checked, &program.preds);
+        let checker = if self.config.tabling {
+            ParallelChecker::with_table(sig, checked, preds, &self.table, self.config.jobs)
+        } else {
+            ParallelChecker::new(sig, checked, preds, self.config.jobs)
+        }
         .with_obs(Some(&self.obs))
         .with_budget(budget.as_ref());
 

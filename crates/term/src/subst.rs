@@ -38,10 +38,11 @@ impl Subst {
         self.map.insert(v, t);
     }
 
-    /// Removes the binding for `v`; backtracking goes through
-    /// [`Trail::undo_to`](crate::Trail::undo_to).
-    pub(crate) fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
+    /// Removes and returns the binding for `v`. Only undo logs call this —
+    /// [`Trail::undo_to`](crate::Trail::undo_to) and the constraint
+    /// matcher's journal — to take back the bindings made since a mark.
+    pub fn unbind(&mut self, v: Var) -> Option<Term> {
+        self.map.remove(&v)
     }
 
     /// The binding for `v`, if any (no chasing).

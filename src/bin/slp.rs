@@ -168,6 +168,7 @@ fn flag_spec(command: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--faults", true),
             ("--budget", true),
             ("--deadline-ms", true),
+            ("--no-table", false),
             ("--stats", false),
             ("--format", true),
             ("--trace", true),
@@ -444,6 +445,7 @@ fn serve_cmd(parsed: &ParsedArgs, obs: &Arc<MetricsRegistry>) -> Result<ExitCode
         default_budget: parse_num("--budget")?,
         default_deadline_ms: parse_num("--deadline-ms")?,
         faults,
+        tabling: !parsed.has("--no-table"),
         ..ServeConfig::default()
     };
     let mut session = ServeSession::with_metrics(config, obs.clone());

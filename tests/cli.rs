@@ -649,3 +649,42 @@ fn counter_metrics_agree_across_job_counts() {
         }
     }
 }
+
+/// Replays the committed serve transcript (with the injected panic the CI
+/// gate uses) and returns the response stream.
+fn serve_replay(extra: &[&str]) -> String {
+    use std::process::Stdio;
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/");
+    let requests = std::fs::read(format!("{golden}serve_session.requests")).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slp"))
+        .args(["serve", "--stdio", "--faults", "panic@5"])
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("slp serve runs");
+    child.stdin.take().unwrap().write_all(&requests).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn serve_replay_without_the_table_matches_the_golden() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/serve_session.golden"
+    ))
+    .unwrap();
+    assert_eq!(serve_replay(&[]), golden);
+    // Untabled, the only two table-derived counts — the entries a delta
+    // kept (`reused`) and their running total (`incremental_reuse`) — are
+    // those of an empty table. Every other byte is the golden's.
+    let untabled = golden
+        .replace("\"reused\":1", "\"reused\":0")
+        .replace("\"incremental_reuse\":1", "\"incremental_reuse\":0");
+    assert_ne!(untabled, golden, "the golden pins both table counts at 1");
+    for jobs in ["1", "4"] {
+        assert_eq!(serve_replay(&["--no-table", "--jobs", jobs]), untabled);
+    }
+}

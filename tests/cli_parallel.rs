@@ -110,3 +110,26 @@ proptest! {
         }
     }
 }
+
+/// A 1,500-way enumeration type over four facts. The loader keeps the
+/// union as a left-nested `+` spine 1,499 deep, and checking recurses down
+/// it. Pool workers get the main thread's stack size, so `--jobs 2` must
+/// behave exactly like `--jobs 1` instead of overflowing a worker's stack.
+#[test]
+fn wide_union_checks_the_same_on_pool_workers() {
+    let n = 1500;
+    let names: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
+    let mut src = format!(
+        "FUNC {}.\nTYPE t.\nt >= {}.\nPRED p(t, t).\n",
+        names.join(", "),
+        names.join(" + ")
+    );
+    for (i, j) in [(0, 1), (1, 0), (n - 1, 0), (7, n - 2)] {
+        src.push_str(&format!("p(c{i}, c{j}).\n"));
+    }
+    let files = write_batch("wide-union", &[src]);
+    let serial = slp(&["check", &files[0], "--jobs", "1"]);
+    let parallel = slp(&["check", &files[0], "--jobs", "2"]);
+    assert_eq!(serial.0, 0, "--jobs 1 stderr: {}", serial.2);
+    assert_eq!(parallel, serial, "--jobs 2 differs from --jobs 1");
+}
