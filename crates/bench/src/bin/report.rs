@@ -79,6 +79,7 @@ fn main() {
             f5();
             f6();
             f7();
+            f14();
             ablations();
         }
     }
@@ -555,6 +556,40 @@ fn f7() {
         assert!(oks.into_iter().all(|ok| ok));
         Some(table.stats().hit_rate())
     });
+    println!();
+}
+
+/// F14: front-end throughput, `parse_module` on pipeline programs of
+/// about 10^3, 10^4 and 10^5 clauses (`pipeline(n, 4)` has `5n`).
+fn f14() {
+    println!("## F14 — front-end throughput (`parse_module`, pipeline family)\n");
+    println!("clauses | source   | tokens    | parse     | MB/s  | ns/token");
+    println!("--------|----------|-----------|-----------|-------|---------");
+    for &(preds, iters) in &[(200usize, 20), (2_000, 5), (20_000, 2)] {
+        let src = programs::pipeline(preds, 4);
+        let tokens = lp_parser::Lexer::new(&src)
+            .tokenize()
+            .expect("pipeline lexes")
+            .len()
+            - 1;
+        // The fastest of `iters` parses; the module is dropped outside the
+        // timed region.
+        let mut best = Duration::MAX;
+        for _ in 0..iters {
+            let (module, took) = time(|| lp_parser::parse_module(&src).expect("pipeline parses"));
+            assert_eq!(module.clauses.len(), 5 * preds);
+            assert_eq!(module.queries.len(), 0);
+            best = best.min(took);
+        }
+        let secs = best.as_secs_f64().max(1e-12);
+        println!(
+            "{:7} | {:5} KB | {tokens:9} | {best:>9.2?} | {:5.1} | {:8.1}",
+            5 * preds,
+            src.len() / 1024,
+            src.len() as f64 / secs / 1e6,
+            secs * 1e9 / tokens as f64
+        );
+    }
     println!();
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 use lp_term::SigError;
 
-use crate::token::{Span, TokenKind};
+use crate::token::Span;
 
 /// What went wrong while parsing or loading.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,8 +15,11 @@ pub enum ParseErrorKind {
     UnterminatedComment,
     /// The parser wanted something else here.
     UnexpectedToken {
-        /// The token found.
-        found: TokenKind,
+        /// The token found, as described by [`TokenKind::describe`]
+        /// (`name \`foo\``, `` `.` ``, `end of input`, …).
+        ///
+        /// [`TokenKind::describe`]: crate::TokenKind::describe
+        found: String,
         /// What was expected instead (prose).
         expected: String,
     },

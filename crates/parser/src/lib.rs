@@ -37,10 +37,25 @@
 //!   `A+B >= A.` and `A+B >= B.`, paper §1) and parses as a left-associative
 //!   infix operator in type positions.
 //!
-//! Parsing is two-phase: [`parse_items`] produces a purely syntactic AST
-//! ([`ast`]), and [`Loader`] resolves it against a [`Signature`], enforcing
-//! kind/arity discipline and producing engine [`Clause`]s, raw constraints
-//! and predicate types for `subtype-core` to consume.
+//! # Pipeline
+//!
+//! * [`Lexer`] scans bytes into [`Token`]s: a [`TokenKind`] and a [`Span`],
+//!   with no text of their own. Only a byte `>= 0x80` is decoded as a
+//!   `char`, so Unicode letters and whitespace classify as `char`'s
+//!   predicates say.
+//! * [`parse_items`] pulls tokens one at a time and builds a
+//!   [`SyntaxTree`]: a flat array of term nodes that name their arguments
+//!   by index and their text by source offsets, plus the top-level items.
+//!   Nothing is allocated per token or per name.
+//! * [`Loader`] resolves the tree against a [`Signature`], looking names up
+//!   by their source slices. It enforces kind/arity discipline and produces
+//!   engine [`Clause`]s, raw constraints and predicate types for
+//!   `subtype-core`, owned by the [`Module`] it finishes.
+//!
+//! Loading is two-phase: the whole source is parsed before any item is
+//! resolved, so a syntax error is reported even when an undeclared symbol
+//! comes earlier in the file, and a lexical error anywhere wins over a
+//! syntax error.
 //!
 //! [`Signature`]: lp_term::Signature
 //! [`Clause`]: lp_engine::Clause
@@ -67,12 +82,12 @@ mod parser;
 mod token;
 mod unparse;
 
-pub use ast::{Mode, ModeDeclAst};
+pub use ast::{Mode, ModeDeclAst, SyntaxTree};
 pub use error::{ParseError, ParseErrorKind};
 pub use lexer::Lexer;
 pub use loader::{
     parse_module, LoadedClause, LoadedConstraint, LoadedQuery, Loader, LoaderOptions, Module,
 };
-pub use parser::{parse_items, parse_single_term, MAX_TERM_DEPTH};
+pub use parser::{parse_items, MAX_TERM_DEPTH};
 pub use token::{LineIndex, Span, Token, TokenKind};
 pub use unparse::{unparse, unparse_term};

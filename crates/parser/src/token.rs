@@ -1,7 +1,5 @@
 //! Tokens and source spans.
 
-use std::fmt;
-
 /// A half-open byte range into the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
@@ -89,13 +87,14 @@ impl LineIndex {
     }
 }
 
-/// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The kind of a lexical token. Tokens carry no text of their own: a name's
+/// or variable's text is the source slice under its [`Token::span`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Lower-case identifier or digit sequence: a symbol name.
-    Name(String),
+    Name,
     /// Upper-case or `_`-initial identifier: a variable name.
-    Variable(String),
+    Variable,
     /// `(`
     LParen,
     /// `)`
@@ -117,11 +116,12 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// A short human-readable description for diagnostics.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description for diagnostics; `text` is the
+    /// token's source text, shown for names and variables.
+    pub fn describe(self, text: &str) -> String {
         match self {
-            TokenKind::Name(n) => format!("name `{n}`"),
-            TokenKind::Variable(v) => format!("variable `{v}`"),
+            TokenKind::Name => format!("name `{text}`"),
+            TokenKind::Variable => format!("variable `{text}`"),
             TokenKind::LParen => "`(`".to_string(),
             TokenKind::RParen => "`)`".to_string(),
             TokenKind::Comma => "`,`".to_string(),
@@ -135,19 +135,20 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.describe())
-    }
-}
-
-/// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A token: its kind and the span of its source text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
-    /// The token kind and payload.
+    /// The token kind.
     pub kind: TokenKind,
     /// Where in the source the token came from.
     pub span: Span,
+}
+
+impl Token {
+    /// The token's text within `src`, the source it was lexed from.
+    pub fn text(self, src: &str) -> &str {
+        &src[self.span.start..self.span.end]
+    }
 }
 
 #[cfg(test)]

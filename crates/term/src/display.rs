@@ -9,16 +9,21 @@
 //! binary symbol with a purely non-alphanumeric name are printed infix:
 //! `elist + nelist(A)` rather than `+(elist, nelist(A))`.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::fasthash::FastHashMap;
 use crate::symbol::Signature;
 use crate::term::{Term, Var};
 
 /// Human-readable names for variables, typically from source text.
+///
+/// The names share one text buffer, so a table costs two allocations
+/// however many variables it names.
 #[derive(Debug, Clone, Default)]
 pub struct NameHints {
-    names: HashMap<Var, String>,
+    /// Each named variable's name, as a byte range of `text`.
+    names: FastHashMap<Var, (usize, usize)>,
+    text: String,
 }
 
 impl NameHints {
@@ -27,14 +32,26 @@ impl NameHints {
         Self::default()
     }
 
+    /// An empty hint table with room for `vars` names of `bytes` bytes
+    /// in all.
+    pub fn with_capacity(vars: usize, bytes: usize) -> Self {
+        NameHints {
+            names: FastHashMap::with_capacity_and_hasher(vars, Default::default()),
+            text: String::with_capacity(bytes),
+        }
+    }
+
     /// Records that `v` should print as `name`.
-    pub fn insert(&mut self, v: Var, name: impl Into<String>) {
-        self.names.insert(v, name.into());
+    pub fn insert(&mut self, v: Var, name: impl AsRef<str>) {
+        let start = self.text.len();
+        self.text.push_str(name.as_ref());
+        self.names.insert(v, (start, self.text.len()));
     }
 
     /// The recorded name for `v`, if any.
     pub fn get(&self, v: Var) -> Option<&str> {
-        self.names.get(&v).map(|s| s.as_str())
+        let &(start, end) = self.names.get(&v)?;
+        Some(&self.text[start..end])
     }
 
     /// Number of named variables.
@@ -49,7 +66,9 @@ impl NameHints {
 
     /// Iterates over all `(variable, name)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, &str)> {
-        self.names.iter().map(|(v, n)| (*v, n.as_str()))
+        self.names
+            .iter()
+            .map(|(&v, &(start, end))| (v, &self.text[start..end]))
     }
 }
 

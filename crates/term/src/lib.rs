@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 mod display;
+mod fasthash;
 mod rename;
 mod subst;
 mod symbol;
@@ -53,6 +54,7 @@ mod trail;
 mod unify;
 
 pub use display::{NameHints, TermDisplay};
+pub use fasthash::{FastHashMap, FastHasher};
 pub use rename::{rename_all, rename_term, VarGen};
 pub use subst::Subst;
 pub use symbol::{Interner, SigError, Signature, Sym, SymKind};

@@ -30,6 +30,7 @@ impl VarGen {
     }
 
     /// Returns a fresh, never-before-returned variable.
+    #[inline]
     pub fn fresh(&mut self) -> Var {
         let v = Var(self.next);
         self.next += 1;

@@ -8,6 +8,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::fasthash::FastHashMap;
 
 /// A compact handle to an interned symbol.
 ///
@@ -18,6 +21,7 @@ pub struct Sym(u32);
 
 impl Sym {
     /// The raw index of this symbol within its signature.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -116,7 +120,7 @@ impl std::error::Error for SigError {}
 
 #[derive(Debug, Clone)]
 struct SymData {
-    name: Box<str>,
+    name: Arc<str>,
     kind: SymKind,
     /// Fixed on first use; `None` until then.
     arity: Option<usize>,
@@ -182,7 +186,8 @@ impl Interner {
 #[derive(Debug, Clone, Default)]
 pub struct Signature {
     syms: Vec<SymData>,
-    by_name: HashMap<Box<str>, Sym>,
+    /// Each name is one allocation, shared with its [`SymData`].
+    by_name: FastHashMap<Arc<str>, Sym>,
     skolem_count: u32,
 }
 
@@ -213,12 +218,13 @@ impl Signature {
             return Ok(sym);
         }
         let sym = Sym(self.syms.len() as u32);
+        let name: Arc<str> = name.into();
+        self.by_name.insert(name.clone(), sym);
         self.syms.push(SymData {
-            name: name.into(),
+            name,
             kind,
             arity: None,
         });
-        self.by_name.insert(name.into(), sym);
         Ok(sym)
     }
 
@@ -249,12 +255,13 @@ impl Signature {
                 continue;
             }
             let sym = Sym(self.syms.len() as u32);
+            let name: Arc<str> = name.into();
+            self.by_name.insert(name.clone(), sym);
             self.syms.push(SymData {
-                name: name.clone().into_boxed_str(),
+                name,
                 kind: SymKind::Skolem,
                 arity: Some(0),
             });
-            self.by_name.insert(name.into_boxed_str(), sym);
             return sym;
         }
     }
@@ -278,11 +285,13 @@ impl Signature {
     /// # Panics
     ///
     /// Panics if `sym` does not belong to this signature.
+    #[inline]
     pub fn kind(&self, sym: Sym) -> SymKind {
         self.syms[sym.index()].kind
     }
 
     /// The arity of `sym`, if it has been fixed yet.
+    #[inline]
     pub fn arity(&self, sym: Sym) -> Option<usize> {
         self.syms[sym.index()].arity
     }
@@ -293,6 +302,7 @@ impl Signature {
     ///
     /// Returns [`SigError::ArityClash`] if `sym` was already used with a
     /// different arity.
+    #[inline]
     pub fn fix_arity(&mut self, sym: Sym, arity: usize) -> Result<(), SigError> {
         let data = &mut self.syms[sym.index()];
         match data.arity {

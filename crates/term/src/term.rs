@@ -38,6 +38,7 @@ pub enum Term {
 
 impl Term {
     /// Builds an application term `sym(args…)`.
+    #[inline]
     pub fn app(sym: Sym, args: Vec<Term>) -> Self {
         Term::App(sym, args)
     }

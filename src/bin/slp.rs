@@ -527,11 +527,11 @@ fn check_file(
         Err(e) => return error_report(&[Diagnostic::from(&e)], &src, file),
     };
     let validate_span = obs.start(Timer::Validate);
-    let built = TypedProgram::from_module_with_metrics(module.clone(), obs.clone());
+    let built = TypedProgram::from_module_with_metrics(module, obs.clone());
     drop(validate_span);
     let program = match built {
         Ok(p) => p.with_tabling(!no_table),
-        Err(e) => return error_report(&program_diagnostics(&module, &e), &src, file),
+        Err((e, module)) => return error_report(&program_diagnostics(&module, &e), &src, file),
     };
     let diags = check_program_diags(&program, clause_jobs, no_table, verify_witnesses);
     if !diags.is_empty() {
@@ -648,11 +648,13 @@ fn run_single(
         Err(e) => return Ok(report_errors(&[Diagnostic::from(&e)], &src, file)),
     };
     let validate_span = obs.start(Timer::Validate);
-    let built = TypedProgram::from_module_with_metrics(module.clone(), obs.clone());
+    let built = TypedProgram::from_module_with_metrics(module, obs.clone());
     drop(validate_span);
     let program = match built {
         Ok(p) => p.with_tabling(!no_table),
-        Err(e) => return Ok(report_errors(&program_diagnostics(&module, &e), &src, file)),
+        Err((e, module)) => {
+            return Ok(report_errors(&program_diagnostics(&module, &e), &src, file))
+        }
     };
 
     match parsed.command.as_str() {

@@ -178,7 +178,7 @@ impl TypedProgram {
     /// [`Error::Declarations`] if the constraints are malformed, non-uniform
     /// or unguarded.
     pub fn from_module(module: Module) -> Result<Self, Error> {
-        Self::from_module_with_metrics(module, MetricsRegistry::shared())
+        Self::from_module_with_metrics(module, MetricsRegistry::shared()).map_err(|(e, _)| e)
     }
 
     /// [`TypedProgram::from_module`], counting into a caller-supplied
@@ -188,14 +188,16 @@ impl TypedProgram {
     /// # Errors
     ///
     /// [`Error::Declarations`] if the constraints are malformed, non-uniform
-    /// or unguarded.
+    /// or unguarded, together with the module, so that the caller can still
+    /// resolve the error's spans against it.
     pub fn from_module_with_metrics(
         module: Module,
         obs: Arc<MetricsRegistry>,
-    ) -> Result<Self, Error> {
-        let constraints = ConstraintSet::from_module(&module)?.checked(&module.sig)?;
-        let pred_types =
-            PredTypeTable::from_module(&module).map_err(|e| Error::Check(vec![(0, e)]))?;
+    ) -> Result<Self, (Error, Box<Module>)> {
+        let (constraints, pred_types) = match Self::validate(&module) {
+            Ok(v) => v,
+            Err(e) => return Err((e, Box::new(module))),
+        };
         Ok(TypedProgram {
             module,
             constraints,
@@ -204,6 +206,15 @@ impl TypedProgram {
             obs,
             tabling: true,
         })
+    }
+
+    /// Checks `module`'s type declarations (Definitions 2, 6 and 9) and
+    /// builds its predicate-type table.
+    fn validate(module: &Module) -> Result<(CheckedConstraints, PredTypeTable), Error> {
+        let constraints = ConstraintSet::from_module(module)?.checked(&module.sig)?;
+        let pred_types =
+            PredTypeTable::from_module(module).map_err(|e| Error::Check(vec![(0, e)]))?;
+        Ok((constraints, pred_types))
     }
 
     /// The metrics registry this program (and its shared proof table) counts
