@@ -38,8 +38,9 @@
 //! do not expand them) and fan the batch out across `--jobs N` worker
 //! threads (default: one per core). Output is collected per file and
 //! emitted in input order, so a parallel run is byte-identical to the
-//! serial one. With a single file, `check` parallelizes across *clauses*
-//! instead, its workers sharing one proof table behind a mutex.
+//! serial one. With a single file, `check` and `lint` parallelize across
+//! *clauses* instead, their workers sharing one proof table behind a
+//! mutex.
 //!
 //! Stream discipline: results (well-typed summaries, lint findings, JSON)
 //! go to **stdout**; every error — usage mistakes, unreadable files, parse
@@ -91,7 +92,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  slp check FILE... [--jobs N] [--verify-witnesses] [--stats]\n            [--format json|human] [--trace FILE]\n  slp explain FILE PRED [--format json|human] [--stats] [--trace FILE]\n  slp lint FILE... [--jobs N] [--deny warnings] [--format json|human]\n           [--stats] [--trace FILE]\n  slp run FILE [-q QUERY] [-n MAX] [--stats] [--format json|human] [--trace FILE]\n  slp audit FILE [-q QUERY] [-n MAX] [--modes] [--jobs N] [--stats]\n            [--format json|human] [--trace FILE]\n  slp serve [--stdio | --socket PATH] [--jobs N] [--faults SPEC]\n            [--budget N] [--deadline-ms N] [--stats] [--trace FILE]\n  slp subtype FILE SUPERTYPE SUBTYPE [--naive]\n  slp match FILE TYPE TERM\n  slp filter FILE FROM_TYPE TO_TYPE\n  slp export FILE\n  slp info FILE\n\nAll commands accept --no-table to disable subtype-proof tabling.\n`check` and `lint` accept several FILEs (and simple *|? globs); the batch\nruns on --jobs N worker threads (default: all cores) with output in input\norder, byte-identical to a serial run.\nResults go to stdout; errors are rendered to stderr.\n--stats emits one metrics document on stderr after the results\n(`slp-metrics/1` JSON under --format json); --trace FILE writes a JSONL\nspan log of prover/table/checker events.\nExit codes: 0 clean, 1 warnings under --deny warnings, 2 errors."
+    "usage:\n  slp check FILE... [--jobs N] [--verify-witnesses] [--stats]\n            [--format json|human] [--trace FILE]\n  slp explain FILE PRED [--format json|human] [--stats] [--trace FILE]\n  slp lint FILE... [--jobs N] [--deny warnings] [--format json|human]\n           [--stats] [--trace FILE]\n  slp run FILE [-q QUERY] [-n MAX] [--stats] [--format json|human] [--trace FILE]\n  slp audit FILE [-q QUERY] [-n MAX] [--modes] [--jobs N] [--stats]\n            [--format json|human] [--trace FILE]\n  slp serve [--stdio | --socket PATH] [--jobs N] [--faults SPEC]\n            [--budget N] [--deadline-ms N] [--stats] [--trace FILE]\n  slp subtype FILE SUPERTYPE SUBTYPE [--naive]\n  slp match FILE TYPE TERM\n  slp filter FILE FROM_TYPE TO_TYPE\n  slp export FILE\n  slp info FILE\n\nAll commands accept --no-table to disable subtype-proof tabling.\n`check` and `lint` accept several FILEs (and simple *|? globs); the batch\nruns on --jobs N worker threads (default: all cores) with output in input\norder, byte-identical to a serial run. A single FILE spreads its clauses\nover the --jobs N workers instead.\nResults go to stdout; errors are rendered to stderr.\n--stats emits one metrics document on stderr after the results\n(`slp-metrics/1` JSON under --format json); --trace FILE writes a JSONL\nspan log of prover/table/checker events.\nExit codes: 0 clean, 1 warnings under --deny warnings, 2 errors."
         .to_string()
 }
 
@@ -315,13 +316,68 @@ fn run_batch(
     worker: impl Fn(&str) -> FileReport + Sync,
 ) -> ExitCode {
     let reports = par::run_indexed(jobs, files, |_, f| worker(f));
+    let mut out = Stdout::new();
     let mut worst = 0u8;
     for r in &reports {
-        print!("{}", r.stdout);
+        out.write(&r.stdout);
         eprint!("{}", r.stderr);
         worst = worst.max(r.code);
     }
+    out.finish();
     ExitCode::from(worst)
+}
+
+/// Results written through one locked stdout handle. A reader that closes
+/// the pipe early (`slp lint FILE | head`) ends the output: later writes
+/// are dropped and the run keeps its own exit code. Any other write error
+/// is reported once on stderr.
+struct Stdout {
+    out: std::io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn new() -> Self {
+        Stdout {
+            out: std::io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    fn write(&mut self, text: &str) {
+        if !self.closed {
+            let written = self.out.write_all(text.as_bytes());
+            self.check(written);
+        }
+    }
+
+    fn finish(mut self) {
+        if !self.closed {
+            let flushed = self.out.flush();
+            self.check(flushed);
+        }
+    }
+
+    fn check(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("slp: cannot write results: {e}");
+            }
+        }
+    }
+}
+
+/// Splits `--jobs` between files and clauses: `(file_jobs, clause_jobs)`.
+/// Files are the unit of parallelism for a batch; a single file
+/// parallelizes across its clauses instead (sharing one proof table
+/// between the workers).
+fn split_jobs(files: &[String], jobs: usize) -> (usize, usize) {
+    if files.len() > 1 {
+        (jobs, 1)
+    } else {
+        (1, jobs)
+    }
 }
 
 /// `--format json|human` (shared by lint findings and `--stats` output).
@@ -380,14 +436,7 @@ fn dispatch(
             json_format(parsed)?;
             let files = expand_files(require_files(parsed)?)?;
             let jobs = jobs_of(parsed)?;
-            // Files are the unit of parallelism for a batch; a single file
-            // parallelizes across its clauses instead (sharing one proof
-            // table between the workers).
-            let (file_jobs, clause_jobs) = if files.len() > 1 {
-                (jobs, 1)
-            } else {
-                (1, jobs)
-            };
+            let (file_jobs, clause_jobs) = split_jobs(&files, jobs);
             let multi = files.len() > 1;
             let verify = parsed.has("--verify-witnesses");
             Ok(run_batch(&files, file_jobs, |file| {
@@ -408,8 +457,9 @@ fn dispatch(
                     ))
                 }
             };
-            Ok(run_batch(&files, jobs, |file| {
-                lint_file(file, no_table, json, deny_warnings, obs)
+            let (file_jobs, clause_jobs) = split_jobs(&files, jobs);
+            Ok(run_batch(&files, file_jobs, |file| {
+                lint_file(file, clause_jobs, no_table, json, deny_warnings, obs)
             }))
         }
         "serve" => serve_cmd(parsed, obs),
@@ -557,6 +607,7 @@ fn check_file(
 /// stay on stdout (in both formats); only I/O failures go to stderr.
 fn lint_file(
     file: &str,
+    clause_jobs: usize,
     no_table: bool,
     json: bool,
     deny_warnings: bool,
@@ -582,6 +633,7 @@ fn lint_file(
             &m,
             &LintOptions {
                 tabling: !no_table,
+                jobs: clause_jobs,
                 ..LintOptions::default()
             },
             Some(obs),
@@ -665,7 +717,9 @@ fn run_single(
         "match" => match_cmd(program, parsed).map(|()| ExitCode::SUCCESS),
         "filter" => filter_cmd(program, parsed).map(|()| ExitCode::SUCCESS),
         "export" => {
-            print!("{}", subtype_lp::parser::unparse(program.module()));
+            let mut out = Stdout::new();
+            out.write(&subtype_lp::parser::unparse(program.module()));
+            out.finish();
             Ok(ExitCode::SUCCESS)
         }
         "info" => info(&program).map(|()| ExitCode::SUCCESS),
