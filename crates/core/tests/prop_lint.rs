@@ -1,7 +1,8 @@
 //! Property tests for the lint driver: over 200 generated programs —
 //! random guarded worlds plus the `lp-gen` program families — linting
 //! never panics, is byte-for-byte deterministic across runs, and is
-//! unaffected by proof tabling (the `--no-table` CLI switch).
+//! unaffected by proof tabling (the `--no-table` CLI switch) and by the
+//! number of workers running the per-clause passes.
 
 use lp_gen::{programs, worlds};
 use lp_parser::parse_module;
@@ -10,26 +11,32 @@ use subtype_core::lint::{lint_module, LintOptions};
 
 /// Lints a source string under the given options, returning the rendered
 /// human report (the CLI's observable output).
-fn lint_text(src: &str, tabling: bool) -> String {
+fn lint_text(src: &str, tabling: bool, jobs: usize) -> String {
     let module = parse_module(src)
         .unwrap_or_else(|e| panic!("generated source must parse: {}\n{src}", e.render(src)));
     let diags = lint_module(
         &module,
         &LintOptions {
             tabling,
+            jobs,
             ..LintOptions::default()
         },
     );
     diag::render_human_all(&diags, src, "gen.slp")
 }
 
-/// The shared property: no panic, deterministic, tabling-invariant.
+/// The shared property: no panic, deterministic, tabling-invariant, and
+/// the same report on 1, 2 or 4 workers.
 fn assert_lint_stable(src: &str) {
-    let a = lint_text(src, true);
-    let b = lint_text(src, true);
+    let a = lint_text(src, true, 1);
+    let b = lint_text(src, true, 1);
     assert_eq!(a, b, "two tabled runs differ on:\n{src}");
-    let c = lint_text(src, false);
+    let c = lint_text(src, false, 1);
     assert_eq!(a, c, "tabling changed the report on:\n{src}");
+    for jobs in [2, 4] {
+        let d = lint_text(src, true, jobs);
+        assert_eq!(a, d, "--jobs {jobs} changed the report on:\n{src}");
+    }
 }
 
 /// Number of random-world seeds. Together with the program families below

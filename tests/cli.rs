@@ -688,3 +688,44 @@ fn serve_replay_without_the_table_matches_the_golden() {
         assert_eq!(serve_replay(&["--no-table", "--jobs", jobs]), untabled);
     }
 }
+
+/// A reader that closes the pipe early (`slp lint FILE | head -c 100`) ends
+/// the output: `slp` neither panics nor exits 101, and keeps the exit code
+/// of a full run.
+#[test]
+fn closed_stdout_ends_output_without_a_panic() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    // Far more output than a pipe buffers, so `slp` is still writing when
+    // the reader goes away.
+    let f = write_fixture("broken_pipe.slp", &lp_gen::programs::pipeline(600, 3));
+    let file = f.to_str().unwrap();
+    let commands: [&[&str]; 3] = [
+        &["lint", file],
+        &["lint", file, "--format", "json"],
+        &["export", file],
+    ];
+    for args in commands {
+        let (full_code, full_out, _) = slp_code(args);
+        assert!(full_out.len() > 1 << 16, "{args:?}: output too small");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_slp"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("slp runs");
+        let mut head = [0u8; 100];
+        child
+            .stdout
+            .take()
+            .unwrap()
+            .read_exact(&mut head)
+            .expect("the first 100 bytes arrive");
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(full_code), "{args:?}: {stderr}");
+    }
+}

@@ -2,7 +2,7 @@
 //! one: over randomly generated programs (clean and error-seeded), running
 //! `check`/`lint` with `--jobs 4` must produce byte-identical stdout,
 //! byte-identical stderr, and the same exit code as `--jobs 1` — in both
-//! the human and JSON formats.
+//! the human and JSON formats, for a batch and for a single file.
 //!
 //! The generated corpus comes from `lp_gen::programs`, so every failing
 //! case is reproducible from the proptest seed alone.
@@ -103,10 +103,14 @@ proptest! {
             prop_assert_eq!(check_code, 0, "stderr: {}", check_err);
         }
 
-        // Single-file clause-level parallelism agrees too (both a clean
-        // and an erroring program).
-        for file in [&files[0], &files[1]] {
-            assert_jobs_equivalent(&["check"], std::slice::from_ref(file))?;
+        // Single-file clause-level parallelism agrees too: a clean and an
+        // erroring program, and the fact base with its duplicate facts.
+        for file in [&files[0], &files[1], &files[2]] {
+            let one = std::slice::from_ref(file);
+            assert_jobs_equivalent(&["check"], one)?;
+            assert_jobs_equivalent(&["lint"], one)?;
+            assert_jobs_equivalent(&["lint", "--format", "json"], one)?;
+            assert_jobs_equivalent(&["lint", "--deny", "warnings"], one)?;
         }
     }
 }
