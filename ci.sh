@@ -263,14 +263,14 @@ step report-series target/release/report > /dev/null
 step closure-golden target/release/report --smoke --baseline BENCH_5.json \
   --only ground_closure
 
-# Concurrency gate: the work-stealing pool and the shared proof table
-# must actually engage, and must never change observable output.
+# Concurrency gate: the worker pool and the shared proof table must
+# actually engage, and must never change observable output.
 #
-#   1. The contention_storm workload is smoke-gated in isolation: its
-#      baseline pins `steals` to an exact nonzero value (a barrier inside
-#      the workload forces every worker but one to steal), so a silent
-#      fallback to serial execution — steals collapsing to 0 — fails CI
-#      even though the byte-diff half of this gate would still pass.
+#   1. The contention_storm workload is smoke-gated in isolation: each of
+#      its four items waits (10 s deadline) until all four are in flight
+#      on distinct workers, so a silent fallback to serial execution
+#      panics with a message and fails CI even though the byte-diff half
+#      of this gate would still pass.
 #   2. Every user-facing entry point (check, lint, audit --modes, serve)
 #      runs under --jobs 8 — more workers than the storm uses, and enough
 #      oversubscription to shuffle chunk ownership — and stdout, stderr,

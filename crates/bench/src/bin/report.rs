@@ -513,7 +513,7 @@ fn f7() {
         .collect();
     println!("file batch ({} pipeline programs):\n", workloads.len());
     jobs_sweep(|jobs| {
-        let oks = par::run_indexed(jobs, &workloads, |_, w| {
+        let oks = par::run_indexed(jobs, &workloads, None, |_, w| {
             let table = ShardedProofTable::new();
             let checker =
                 ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, 1);
@@ -549,7 +549,7 @@ fn f7() {
     );
     jobs_sweep(|jobs| {
         let table = ShardedProofTable::new();
-        let oks = par::run_indexed(jobs, &goals, |_, (sup, sub)| {
+        let oks = par::run_indexed(jobs, &goals, None, |_, (sup, sub)| {
             TabledProver::new(&world.sig, &world.checked, &table)
                 .subtype(sup, sub)
                 .is_proved()

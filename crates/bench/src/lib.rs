@@ -105,7 +105,7 @@ pub const F7_DISTINCT: usize = 8;
 
 /// The F7 corpus: pipeline programs of varied width and arity from
 /// `lp_gen::programs`, parsed per batch run. Sizes are staggered so the
-/// batch is imbalanced — the work-stealing pool has to even it out.
+/// batch is imbalanced — the pool's shared cursor has to even it out.
 pub fn f7_corpus() -> Vec<String> {
     (0..F7_CORPUS)
         .map(|i| lp_gen::programs::pipeline(12 + 6 * (i % 4), 2 + i % 3))

@@ -21,7 +21,7 @@
 //! | (beyond the paper) precomputed ground-fragment subtype closure | [`closure`] |
 //! | (beyond the paper) tabled proving with generation invalidation | [`table`] |
 //! | (beyond the paper) the proof table shared by worker threads | [`shard`] |
-//! | (beyond the paper) the work-stealing worker pool behind `--jobs N` | [`par`] |
+//! | (beyond the paper) the chunk-cursor worker pool behind `--jobs N` | [`par`] |
 //! | (beyond the paper) metrics, timers, and span tracing | [`obs`] |
 //!
 //! # Quick start

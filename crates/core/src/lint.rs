@@ -146,7 +146,7 @@ pub fn lint_module_obs(
     // `slp check` does, so a serial lint counts what it always counted.
     let jobs = par::effective_jobs(options.jobs);
     let pool_obs = if jobs > 1 { reg } else { None };
-    let findings = par::run_indexed_obs(jobs, &module.clauses, pool_obs, |j, _| {
+    let findings = par::run_indexed(jobs, &module.clauses, pool_obs, |j, _| {
         let mut found = ClauseFindings::default();
         heads.overlaps(module, j, &mut found.diags);
         if let Some((checked, preds)) = typing {

@@ -134,13 +134,12 @@ pub enum Counter {
     /// worker (`try_lock` failed) and waited for it. Zero on every serial
     /// run by construction.
     TableReadRetries,
-    /// Work chunks a pool worker claimed from *another* worker's deque.
-    /// Zero when the pool runs inline (`--jobs 1`) — a parallel batch with
-    /// `steals == 0` means the stealing path silently degraded to serial.
+    /// Retired: the pool claims chunks from one shared cursor and steals
+    /// nothing, so this is always 0. The key stays in `slp-metrics/1` for
+    /// the readers that index it.
     Steals,
-    /// Steal attempts that found the victim's deque empty (or busy) and
-    /// had to re-pick a victim. Purely scheduling luck; bounded, not
-    /// exact, in perf baselines.
+    /// Retired with [`Counter::Steals`]: always 0. The key stays in
+    /// `slp-metrics/1` for the readers that index it.
     StealFailures,
 }
 
@@ -247,9 +246,8 @@ impl Counter {
     /// `IncrementalReuse`, which counts survivors of a rescope. The serve
     /// request counters *are* invariant: faults are keyed off request
     /// sequence numbers (see [`FaultPlan`]), not clocks or thread timing.
-    /// The concurrency counters — waits on the shared table's lock, deque
-    /// steals, and failed steal attempts — are scheduling luck by
-    /// definition and excluded too.
+    /// Waits on the shared table's lock are scheduling luck by definition
+    /// and excluded too.
     pub fn scheduling_invariant(self) -> bool {
         !matches!(
             self,
@@ -265,28 +263,21 @@ impl Counter {
                 | Counter::WitnessInvalid
                 | Counter::IncrementalReuse
                 | Counter::TableReadRetries
-                | Counter::Steals
-                | Counter::StealFailures
         )
     }
 
     /// Whether a perf baseline should treat this counter as an upper
     /// *bound* rather than an exact expectation.
     ///
-    /// Waits on the shared table's lock and failed steal attempts depend
-    /// on how the OS interleaves racing threads: re-running the
-    /// same workload legitimately lands on different (small) values. The
-    /// `contention_storm` bench therefore asserts a generous ceiling on
-    /// the measured value and publishes the *ceiling* in its snapshot, so
-    /// the emitted document stays deterministic and `report --smoke` can
-    /// keep comparing byte-exactly. Every other counter — including
-    /// `steals`, which the storm workload makes deterministic by
-    /// construction — is reported as measured.
+    /// Waits on the shared table's lock depend on how the OS interleaves
+    /// racing threads: re-running the same workload legitimately lands on
+    /// different (small) values. The `contention_storm` bench therefore
+    /// asserts a generous ceiling on the measured value and publishes the
+    /// *ceiling* in its snapshot, so the emitted document stays
+    /// deterministic and `report --smoke` can keep comparing byte-exactly.
+    /// Every other counter is reported as measured.
     pub fn bounded_in_baselines(self) -> bool {
-        matches!(
-            self,
-            Counter::ShardContention | Counter::TableReadRetries | Counter::StealFailures
-        )
+        matches!(self, Counter::ShardContention | Counter::TableReadRetries)
     }
 }
 
@@ -1479,20 +1470,18 @@ mod tests {
         assert!(Counter::ClosureHits.scheduling_invariant());
         assert!(Counter::ClosureMisses.scheduling_invariant());
         assert!(Counter::ArenaTerms.scheduling_invariant());
-        // Concurrency-mechanism counters are scheduling luck by
-        // definition: retries and steals depend on thread interleaving.
+        // Lock waits are scheduling luck by definition; the retired steal
+        // counters are always 0, so they cannot vary.
         assert!(!Counter::TableReadRetries.scheduling_invariant());
-        assert!(!Counter::Steals.scheduling_invariant());
-        assert!(!Counter::StealFailures.scheduling_invariant());
+        assert!(Counter::Steals.scheduling_invariant());
+        assert!(Counter::StealFailures.scheduling_invariant());
     }
 
     #[test]
     fn bounded_baseline_counters_are_the_racy_subset() {
         // Only genuinely interleaving-dependent mechanism counters may be
         // published as ceilings; everything else stays exact in
-        // BENCH_5.json. In particular `steals` is exact: the storm
-        // workload pins it by construction, so a silent fallback to a
-        // serial pool cannot hide behind a bound.
+        // BENCH_5.json.
         for c in Counter::ALL {
             if c.bounded_in_baselines() {
                 assert!(
@@ -1504,7 +1493,7 @@ mod tests {
         }
         assert!(Counter::ShardContention.bounded_in_baselines());
         assert!(Counter::TableReadRetries.bounded_in_baselines());
-        assert!(Counter::StealFailures.bounded_in_baselines());
+        assert!(!Counter::StealFailures.bounded_in_baselines());
         assert!(!Counter::Steals.bounded_in_baselines());
         assert!(!Counter::TableHits.bounded_in_baselines());
     }

@@ -1,41 +1,27 @@
-//! A scoped work-stealing worker pool for index-ordered work.
+//! A scoped worker pool for index-ordered work.
 //!
 //! Every parallel surface of this workspace — clause-level checking in
-//! [`crate::welltyped::ParallelChecker`], and file-level batching in the
-//! `slp` CLI — funnels through [`run_indexed`], so there is exactly one
-//! dispatch discipline to reason about. Items are grouped into contiguous
-//! **chunks**; every chunk starts on worker 0's deque, a worker pops its
-//! own deque LIFO (the chunk it seeded or stole most recently, still warm
-//! in cache), and an idle worker steals FIFO from a victim's deque — so a
-//! skewed batch (one huge file among many small ones) drains onto
-//! whichever workers are free instead of serializing behind a fixed
-//! partition. Results are reassembled **in input order** before being
-//! returned: callers observe output byte-identical to a serial
-//! left-to-right run, regardless of how the scheduler interleaved the
-//! workers.
+//! [`crate::welltyped::ParallelChecker`], per-clause lint passes, and
+//! file-level batching in the `slp` CLI — funnels through
+//! [`run_indexed`], so there is exactly one dispatch discipline to reason
+//! about. Items are grouped into contiguous **chunks**, and the workers
+//! share one atomic cursor: a worker that finishes a chunk claims the next
+//! unclaimed one with a single `fetch_add`, so a skewed batch (one huge
+//! file among many small ones) drains onto whichever workers are free
+//! instead of serializing behind a fixed partition. Results are
+//! reassembled **in input order** after the workers join: callers observe
+//! output byte-identical to a serial left-to-right run, regardless of how
+//! the workers interleaved.
 //!
-//! Seeding everything onto worker 0 (rather than round-robin
-//! pre-partitioning) makes stealing the *normal* distribution mechanism,
-//! not a rare rescue path: [`Counter::Steals`] is live on every pooled
-//! batch, so a silent fallback to serial dispatch is visible in the
-//! counters (the `contention_storm` bench workload and the CI concurrency
-//! gate pin exactly this).
-//!
-//! Victim selection uses a per-worker xorshift sequence seeded by the
-//! worker index — deterministic across runs, no global RNG, no clock.
-//! Claim accounting is panic-safe: the outstanding-chunk count is
-//! decremented at *claim* time and `f` runs outside every deque lock, so
-//! a worker that panics mid-item neither wedges the pool (survivors steal
-//! the rest of its deque and exit when the count hits zero) nor poisons a
-//! `Mutex` mid-push; the panic then propagates to the caller when the
-//! scope joins, exactly like a serial panic.
+//! A worker that panics simply stops claiming; the others drain the rest
+//! of the cursor and exit, and the panic then propagates to the caller
+//! when the scope joins, exactly like a serial panic. Nothing waits on a
+//! claim count, so a panic cannot wedge the pool.
 //!
 //! No third-party runtime is involved (the build environment is offline
 //! by policy); `std::thread::scope` gives us borrow-friendly workers.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::obs::{Counter, MetricsRegistry};
 
@@ -45,58 +31,46 @@ use crate::obs::{Counter, MetricsRegistry};
 const WORKER_STACK_BYTES: usize = 8 << 20;
 
 /// Upper bound on the auto-selected chunk size: big enough to amortise
-/// deque traffic, small enough that a skewed tail can still be stolen.
+/// cursor traffic, small enough that a skewed tail still spreads out.
 const MAX_AUTO_CHUNK: usize = 32;
 
+/// The most workers one batch runs on. Each worker reserves
+/// `WORKER_STACK_BYTES` of stack, so the `slp` CLI refuses a larger
+/// `--jobs` rather than asking the OS for thousands of threads.
+pub const MAX_JOBS: usize = 256;
+
 /// Resolves a requested job count: `0` means "one worker per available
-/// core"; any other value is taken as-is.
+/// core"; any other value is taken as-is. Either way the result is at most
+/// [`MAX_JOBS`].
 pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
+    let jobs = if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
         requested
-    }
+    };
+    jobs.min(MAX_JOBS)
 }
 
-/// The default chunk size for a batch: roughly four chunks per worker so
-/// stealing has slack to rebalance, clamped to [1, `MAX_AUTO_CHUNK`].
+/// The chunk size for a batch: roughly four chunks per worker so the
+/// cursor has slack to rebalance, clamped to [1, `MAX_AUTO_CHUNK`].
 fn auto_chunk(jobs: usize, items: usize) -> usize {
     (items / (jobs.max(1) * 4)).clamp(1, MAX_AUTO_CHUNK)
 }
 
-/// [`run_indexed`] with pool accounting: when `obs` is present, the batch
-/// and its item count are recorded (`pool_batches` / `pool_items`) before
-/// dispatch, whether the work ends up inline or on the pool, and steal
-/// traffic is recorded (`steals` / `steal_failures`) as the pool runs.
-pub fn run_indexed_obs<T, R, F>(
-    jobs: usize,
-    items: &[T],
-    obs: Option<&MetricsRegistry>,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = auto_chunk(effective_jobs(jobs), items.len());
-    run_indexed_chunked_obs(jobs, chunk, items, obs, f)
-}
-
-/// [`run_indexed_obs`] with an explicit chunk size: items are claimed in
-/// contiguous runs of `chunk_size` indices. Chunk size 1 maximises steal
-/// opportunities (every item is independently stealable); larger chunks
-/// amortise deque traffic for fine-grained items. The `contention_storm`
-/// bench workload uses size 1 to make its steal count exact.
-pub fn run_indexed_chunked_obs<T, R, F>(
-    jobs: usize,
-    chunk_size: usize,
-    items: &[T],
-    obs: Option<&MetricsRegistry>,
-    f: F,
-) -> Vec<R>
+/// Applies `f` to every item of `items`, on up to `jobs` worker threads
+/// (`0` = available cores), returning the results in input order.
+///
+/// When `obs` is present, the batch and its item count are recorded
+/// (`pool_batches` / `pool_items`) before dispatch, whether the work ends
+/// up inline or on the pool.
+///
+/// When only one worker would have a chunk to take (`jobs <= 1`, or too
+/// few items), the work runs inline on the calling thread with no pool at
+/// all, so the serial path is exactly the pre-parallelism code path. A
+/// panic in `f` on any worker propagates to the caller.
+pub fn run_indexed<T, R, F>(jobs: usize, items: &[T], obs: Option<&MetricsRegistry>, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -106,141 +80,51 @@ where
         o.incr(Counter::PoolBatches);
         o.add(Counter::PoolItems, items.len() as u64);
     }
-    run_chunked(jobs, chunk_size, items, obs, f)
-}
-
-/// Applies `f` to every item of `items`, on up to `jobs` worker threads
-/// (`0` = available cores), returning the results in input order.
-///
-/// With `jobs <= 1` (or fewer than two items) the work runs inline on the
-/// calling thread with no pool at all, so the serial path is exactly the
-/// pre-parallelism code path. A panic in `f` on any worker propagates to
-/// the caller when the scope joins.
-pub fn run_indexed<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = auto_chunk(effective_jobs(jobs), items.len());
-    run_chunked(jobs, chunk, items, None, f)
-}
-
-/// One xorshift64 step — the per-worker victim sequence. Deterministic
-/// and allocation-free; the seed is derived from the worker index so two
-/// workers never share a sequence.
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// The work-stealing core shared by every entry point above.
-fn run_chunked<T, R, F>(
-    jobs: usize,
-    chunk_size: usize,
-    items: &[T],
-    obs: Option<&MetricsRegistry>,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let nchunks = items.len().div_ceil(chunk_size);
-    let jobs = effective_jobs(jobs).min(nchunks.max(1));
-    if jobs <= 1 || items.len() <= 1 {
+    let jobs = effective_jobs(jobs);
+    let chunk = auto_chunk(jobs, items.len());
+    let workers = jobs.min(items.len().div_ceil(chunk));
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    // Worker 0's deque holds every chunk up front; the others start empty
-    // and steal. `remaining` counts unclaimed chunks — decremented at
-    // claim time, so survivors of a worker panic still terminate.
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    deques[0].lock().expect("fresh deque").extend(0..nchunks);
-    let remaining = AtomicUsize::new(nchunks);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-
-    std::thread::scope(|scope| {
-        for me in 0..jobs {
-            let deques = &deques;
-            let remaining = &remaining;
-            let collected = &collected;
-            let f = &f;
-            let worker = std::thread::Builder::new().stack_size(WORKER_STACK_BYTES);
-            let spawned = worker.spawn_scoped(scope, move || {
-                let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ ((me as u64 + 1) << 1);
-                let mut local: Vec<(usize, R)> = Vec::new();
-                while remaining.load(Ordering::Acquire) > 0 {
-                    // Own deque first, newest chunk first (LIFO): cheap
-                    // and cache-warm.
-                    let mut claimed = deques[me].lock().expect("own deque").pop_back();
-                    let mut stolen = false;
-                    if claimed.is_none() {
-                        // Steal sweep: a random starting victim, then the
-                        // rest in order; oldest chunk first (FIFO) so the
-                        // victim keeps its warm tail.
-                        let start = (xorshift64(&mut rng) as usize) % jobs;
-                        for k in 0..jobs {
-                            let victim = (start + k) % jobs;
-                            if victim == me {
-                                continue;
-                            }
-                            let got = deques[victim].lock().expect("victim deque").pop_front();
-                            if got.is_some() {
-                                claimed = got;
-                                stolen = true;
-                                break;
-                            }
-                            if let Some(o) = obs {
-                                o.incr(Counter::StealFailures);
-                            }
-                        }
-                    }
-                    let Some(chunk) = claimed else {
-                        // Everything is claimed but still in flight; wait
-                        // for `remaining` to drain.
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                    if stolen {
-                        if let Some(o) = obs {
-                            o.incr(Counter::Steals);
-                        }
-                    }
-                    let lo = chunk * chunk_size;
-                    let hi = (lo + chunk_size).min(items.len());
-                    for (i, item) in items[lo..hi].iter().enumerate() {
-                        local.push((lo + i, f(lo + i, item)));
-                    }
-                }
-                if !local.is_empty() {
-                    collected
-                        .lock()
-                        .expect("no poisoned result sink")
-                        .extend(local);
-                }
-            });
-            spawned.expect("spawn a pool worker");
+    // The cursor publishes no data — items are shared read-only and the
+    // results come back through `join` — so `Relaxed` is enough: the
+    // read-modify-write alone hands each chunk to exactly one worker.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut runs: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= items.len() {
+                return runs;
+            }
+            let hi = (lo + chunk).min(items.len());
+            runs.push((lo, (lo..hi).map(|i| f(i, &items[i])).collect()));
         }
+    };
+    let mut runs: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn_scoped(scope, claim)
+                    .expect("spawn a pool worker")
+            })
+            .collect();
+        // Re-raising a worker's own payload keeps a panic's message the
+        // same at every job count.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-
-    let mut pairs = collected.into_inner().expect("workers joined");
-    debug_assert_eq!(pairs.len(), items.len(), "every index produced a result");
-    pairs.sort_unstable_by_key(|(i, _)| *i);
-    pairs.into_iter().map(|(_, r)| r).collect()
+    runs.sort_unstable_by_key(|(lo, _)| *lo);
+    runs.into_iter().flat_map(|(_, rs)| rs).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     use super::*;
 
@@ -248,7 +132,7 @@ mod tests {
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..100).collect();
         for jobs in [0, 1, 2, 4, 7] {
-            let out = run_indexed(jobs, &items, |i, &x| {
+            let out = run_indexed(jobs, &items, None, |i, &x| {
                 assert_eq!(i, x);
                 x * 3
             });
@@ -259,14 +143,15 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let none: Vec<u8> = Vec::new();
-        assert!(run_indexed(4, &none, |_, &x| x).is_empty());
-        assert_eq!(run_indexed(4, &[9u8], |_, &x| x), vec![9]);
+        assert!(run_indexed(4, &none, None, |_, &x| x).is_empty());
+        assert_eq!(run_indexed(4, &[9u8], None, |_, &x| x), vec![9]);
     }
 
     #[test]
     fn effective_jobs_resolves_zero_to_cores() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(3), 3);
+        assert_eq!(effective_jobs(usize::MAX), MAX_JOBS);
     }
 
     #[test]
@@ -281,7 +166,7 @@ mod tests {
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..16).collect();
         let r = std::panic::catch_unwind(|| {
-            run_indexed(4, &items, |_, &x| {
+            run_indexed(4, &items, None, |_, &x| {
                 assert!(x != 7, "boom");
                 x
             })
@@ -289,78 +174,87 @@ mod tests {
         assert!(r.is_err());
     }
 
-    /// A panic on one worker must not wedge the others: claims are
-    /// decremented before `f` runs and no deque lock is held across `f`,
-    /// so the survivors drain the remaining chunks and the scope join
-    /// re-raises the panic.
+    /// A panic on one worker must not wedge the others: the survivors
+    /// drain the cursor, and the join re-raises the worker's own panic.
     #[test]
     fn worker_panic_does_not_wedge_the_pool() {
         let items: Vec<usize> = (0..64).collect();
         let r = std::panic::catch_unwind(|| {
-            run_indexed_chunked_obs(4, 1, &items, None, |_, &x| {
-                assert!(x != 0, "boom on the seed worker's first chunk");
+            run_indexed(4, &items, None, |_, &x| {
+                assert!(x != 0, "boom on the first chunk");
                 x
             })
         });
-        assert!(r.is_err());
+        let payload = r.expect_err("the worker's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"boom on the first chunk")
+        );
     }
 
-    /// The deterministic steal construction the `contention_storm` bench
-    /// workload relies on: N single-item chunks, N workers, a barrier of
-    /// N inside `f`. The barrier can only release once N distinct workers
-    /// each hold one chunk, and every chunk starts on worker 0 — so
-    /// exactly N-1 steals happen, on any machine, under any interleaving.
+    /// `N` workers hold `N` single-item chunks at once: every item waits
+    /// until all `N` are in flight, which serial dispatch never reaches;
+    /// the deadline turns that into a failure instead of a hang.
     #[test]
-    fn barrier_forces_exactly_n_minus_one_steals() {
+    fn n_workers_hold_n_items_at_once() {
         let obs = MetricsRegistry::new();
-        let barrier = Barrier::new(4);
+        let arrived = AtomicUsize::new(0);
         let items = [0u8; 4];
-        let out = run_indexed_chunked_obs(4, 1, &items, Some(&obs), |i, _| {
-            barrier.wait();
+        let out = run_indexed(4, &items, Some(&obs), |i, _| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while arrived.load(Ordering::SeqCst) < items.len() {
+                assert!(
+                    Instant::now() < deadline,
+                    "only {} of 4 items were in flight at once",
+                    arrived.load(Ordering::SeqCst)
+                );
+                std::thread::yield_now();
+            }
             i
         });
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(obs.get(Counter::Steals), 3);
         assert_eq!(obs.get(Counter::PoolBatches), 1);
         assert_eq!(obs.get(Counter::PoolItems), 4);
     }
 
-    /// Skew drains onto idle workers: one chunk blocks until every other
-    /// chunk (all seeded behind it on worker 0's deque) has been stolen
-    /// and completed by somebody else.
+    /// Skew drains onto free workers: item 0, alone in its chunk, blocks
+    /// until every other item has finished, which only another worker can
+    /// do while the first one is stuck.
     #[test]
-    fn skewed_batches_rebalance_by_stealing() {
-        let obs = MetricsRegistry::new();
+    fn skewed_batches_drain_onto_free_workers() {
         let done = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..16).collect();
-        let out = run_indexed_chunked_obs(2, 1, &items, Some(&obs), |i, &x| {
-            // Worker 0 pops LIFO, so index 15 runs first on it; make that
-            // item wait for all the others, which only a second worker
-            // stealing the rest can finish.
-            if i == 15 {
-                while done.load(Ordering::Acquire) < 15 {
+        let items: Vec<usize> = (0..8).collect();
+        assert_eq!(
+            auto_chunk(2, items.len()),
+            1,
+            "item 0 is alone in its chunk"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let out = run_indexed(2, &items, None, |i, &x| {
+            if i == 0 {
+                while done.load(Ordering::SeqCst) < items.len() - 1 {
+                    assert!(Instant::now() < deadline, "the other items never ran");
                     std::thread::yield_now();
                 }
             }
-            done.fetch_add(1, Ordering::AcqRel);
+            done.fetch_add(1, Ordering::SeqCst);
             x * 2
         });
-        assert_eq!(out, (0..16).map(|x| x * 2).collect::<Vec<_>>());
-        assert!(
-            obs.get(Counter::Steals) >= 15,
-            "the blocked worker kept its one chunk"
-        );
+        assert_eq!(out, (0..8).map(|x| x * 2).collect::<Vec<_>>());
     }
 
-    /// Without a registry the pool runs identically but records nothing —
-    /// `run_indexed` stays usable from counter-free contexts.
+    /// Only the registry passed in counts: a run without one records
+    /// nothing, and an inline run with one still records its batch.
     #[test]
     fn unobserved_runs_count_nothing() {
         let obs = MetricsRegistry::new();
         let items: Vec<usize> = (0..32).collect();
-        let out = run_indexed(4, &items, |_, &x| x + 1);
+        let out = run_indexed(4, &items, None, |_, &x| x + 1);
         assert_eq!(out.len(), 32);
-        assert_eq!(obs.get(Counter::Steals), 0);
         assert_eq!(obs.get(Counter::PoolBatches), 0);
+        run_indexed(1, &items, Some(&obs), |_, &x| x);
+        assert_eq!(obs.get(Counter::PoolBatches), 1);
+        assert_eq!(obs.get(Counter::PoolItems), 32);
     }
 }

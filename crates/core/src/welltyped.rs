@@ -466,8 +466,9 @@ impl<'a> Checker<'a> {
 /// Definition 16 checks each clause (and each query) in isolation — no
 /// state flows between them — so the program-wide check is embarrassingly
 /// parallel. `ParallelChecker` dispatches clauses across the workspace
-/// work-stealing pool ([`crate::par`] — idle workers steal queued clause
-/// chunks instead of idling behind a fixed partition); workers share one
+/// worker pool ([`crate::par`] — a worker that frees up claims the next
+/// chunk of clauses from one shared cursor, so none idles behind a fixed
+/// partition); workers share one
 /// [`ShardedProofTable`] (when tabling is on) — the serial checker's
 /// [`ProofTable`] behind one mutex, locked only to probe
 /// or write — so a judgement derived for one clause is a cache hit for every
@@ -571,7 +572,7 @@ impl<'a> ParallelChecker<'a> {
         &self,
         clauses: &[&Clause],
     ) -> Result<Vec<ClauseTyping>, Vec<(usize, TypeCheckError)>> {
-        let results = par::run_indexed_obs(self.jobs, clauses, self.obs, |_, clause| {
+        let results = par::run_indexed(self.jobs, clauses, self.obs, |_, clause| {
             self.checker().check_clause(clause)
         });
         collect_indexed(results)
@@ -587,7 +588,7 @@ impl<'a> ParallelChecker<'a> {
         &self,
         queries: &[&[Term]],
     ) -> Result<Vec<ClauseTyping>, Vec<(usize, TypeCheckError)>> {
-        let results = par::run_indexed_obs(self.jobs, queries, self.obs, |_, goals| {
+        let results = par::run_indexed(self.jobs, queries, self.obs, |_, goals| {
             self.checker().check_query(goals)
         });
         collect_indexed(results)

@@ -4,15 +4,13 @@
 //! The `slp-metrics/1` schema partitions counters into two classes.
 //! Table/shard/pool counters are *racy by design* (two workers may derive
 //! the same judgement before either inserts it, so hit/miss splits shift
-//! with interleaving — and under work stealing, `steals` and
-//! `steal_failures` depend on the victim sweep's timing); everything else
-//! — goals posed, cmatch expansions, clause and query checks — is a
-//! function of the program alone and must come out identical under
-//! `--jobs 1` and `--jobs 8`. These tests pin that partition, the
-//! total-demand semantics of the shared [`Budget`] (a stolen chunk
-//! charges the same shared tally it would have charged serially), plus
-//! the accounting identity that every tabled subtype goal performs
-//! exactly one table lookup.
+//! with interleaving); everything else — goals posed, cmatch expansions,
+//! clause and query checks — is a function of the program alone and must
+//! come out identical under `--jobs 1` and `--jobs 8`. These tests pin
+//! that partition, the total-demand semantics of the shared [`Budget`] (a
+//! chunk on any worker charges the same shared tally it would have
+//! charged serially), plus the accounting identity that every tabled
+//! subtype goal performs exactly one table lookup.
 
 use std::cell::RefCell;
 
@@ -54,9 +52,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Scheduling-invariant counters and the shared budget's total spend
-    /// are identical across worker counts — including a heavily stolen
+    /// are identical across worker counts — including an oversubscribed
     /// 8-worker run — on generated pipeline programs of varying width and
-    /// arity. The budget half pins total-demand semantics: stealing moves
+    /// arity. The budget half pins total-demand semantics: scheduling moves
     /// *where* a clause is checked, never how much expansion it charges.
     #[test]
     fn invariant_counters_agree_across_job_counts(width in 2usize..14, arity in 1usize..4) {

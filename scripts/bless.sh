@@ -67,9 +67,9 @@ echo "blessed tests/golden/serve_session.golden" >&2
 
 # The perf smoke baseline: deterministic BENCH_5 counters. The serial
 # workloads are the same on every machine; contention_storm runs a real
-# 4-worker pool but publishes an exact, barrier-forced steal count and
-# fixed ceilings for its racy counters, so it blesses deterministically
-# too.
+# 4-worker pool but publishes only exact counters (its items wait until
+# all four are in flight) and fixed ceilings for its racy counters, so it
+# blesses deterministically too.
 target/release/report --bench5 --out BENCH_5.json
 
 echo "bless: done — review with \`git diff\` before committing" >&2

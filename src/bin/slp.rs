@@ -221,14 +221,21 @@ fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
 }
 
 /// `--jobs N`: 0 (or the flag missing) means one worker per available core.
+/// A count above [`par::MAX_JOBS`] is refused before any worker starts.
 fn jobs_of(parsed: &ParsedArgs) -> Result<usize, String> {
-    match parsed.value("--jobs") {
-        None => Ok(par::effective_jobs(0)),
+    let requested = match parsed.value("--jobs") {
+        None => 0,
         Some(v) => v
             .parse::<usize>()
-            .map(par::effective_jobs)
-            .map_err(|_| format!("--jobs expects a number, got `{v}`\n{}", usage())),
+            .map_err(|_| format!("--jobs expects a number, got `{v}`\n{}", usage()))?,
+    };
+    if requested > par::MAX_JOBS {
+        return Err(format!(
+            "--jobs {requested} is above the limit of {} workers",
+            par::MAX_JOBS
+        ));
     }
+    Ok(par::effective_jobs(requested))
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +322,7 @@ fn run_batch(
     jobs: usize,
     worker: impl Fn(&str) -> FileReport + Sync,
 ) -> ExitCode {
-    let reports = par::run_indexed(jobs, files, |_, f| worker(f));
+    let reports = par::run_indexed(jobs, files, None, |_, f| worker(f));
     let mut out = Stdout::new();
     let mut worst = 0u8;
     for r in &reports {
@@ -347,6 +354,14 @@ impl Stdout {
     fn write(&mut self, text: &str) {
         if !self.closed {
             let written = self.out.write_all(text.as_bytes());
+            self.check(written);
+        }
+    }
+
+    /// The `write!`/`writeln!` target: formats straight into the handle.
+    fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        if !self.closed {
+            let written = self.out.write_fmt(args);
             self.check(written);
         }
     }
@@ -709,22 +724,26 @@ fn run_single(
         }
     };
 
-    match parsed.command.as_str() {
-        "run" => execute(&program, &src, file, parsed, false),
-        "audit" => execute(&program, &src, file, parsed, true),
-        "explain" => explain_cmd(&program, &src, file, parsed),
-        "subtype" => subtype(program, parsed).map(|()| ExitCode::SUCCESS),
-        "match" => match_cmd(program, parsed).map(|()| ExitCode::SUCCESS),
-        "filter" => filter_cmd(program, parsed).map(|()| ExitCode::SUCCESS),
+    let mut out = Stdout::new();
+    let result = match parsed.command.as_str() {
+        "run" => execute(&program, &src, file, parsed, false, &mut out),
+        "audit" => execute(&program, &src, file, parsed, true, &mut out),
+        "explain" => explain_cmd(&program, &src, file, parsed, &mut out),
+        "subtype" => subtype(program, parsed, &mut out).map(|()| ExitCode::SUCCESS),
+        "match" => match_cmd(program, parsed, &mut out).map(|()| ExitCode::SUCCESS),
+        "filter" => filter_cmd(program, parsed, &mut out).map(|()| ExitCode::SUCCESS),
         "export" => {
-            let mut out = Stdout::new();
             out.write(&subtype_lp::parser::unparse(program.module()));
-            out.finish();
             Ok(ExitCode::SUCCESS)
         }
-        "info" => info(&program).map(|()| ExitCode::SUCCESS),
+        "info" => {
+            info(&program, &mut out);
+            Ok(ExitCode::SUCCESS)
+        }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
-    }
+    };
+    out.finish();
+    result
 }
 
 /// Renders error diagnostics to stderr and yields exit code 2.
@@ -836,6 +855,7 @@ fn execute(
     file: &str,
     parsed: &ParsedArgs,
     auditing: bool,
+    out: &mut Stdout,
 ) -> Result<ExitCode, String> {
     // `audit --jobs N` parallelizes the pre-execution type check across
     // clauses (sharing one proof table); the audit itself is serial
@@ -858,7 +878,7 @@ fn execute(
         ));
     }
     if auditing && parsed.has("--modes") {
-        return audit_modes(program, src, file, parsed, query, max);
+        return audit_modes(program, src, file, parsed, query, max, out);
     }
     if auditing {
         let report = program.audit_query(
@@ -869,9 +889,10 @@ fn execute(
             },
         );
         for sol in &report.solutions {
-            println!("{}", solution_line(program, query, sol));
+            writeln!(out, "{}", solution_line(program, query, sol));
         }
-        println!(
+        writeln!(
+            out,
             "audited {} resolvent(s): {} violation(s), answers {}",
             report.resolvents_checked,
             report.violations.len(),
@@ -887,10 +908,10 @@ fn execute(
     } else {
         let solutions = program.run_query(query, max);
         if solutions.is_empty() {
-            println!("no.");
+            writeln!(out, "no.");
         }
         for sol in &solutions {
-            println!("{}", solution_line(program, query, sol));
+            writeln!(out, "{}", solution_line(program, query, sol));
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -908,6 +929,7 @@ fn audit_modes(
     parsed: &ParsedArgs,
     query: usize,
     max: usize,
+    out: &mut Stdout,
 ) -> Result<ExitCode, String> {
     let json = json_format(parsed)?;
     let module = program.module();
@@ -984,7 +1006,8 @@ fn audit_modes(
                 )
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{{\"slp-audit-modes\":1,\"file\":{},\"query\":{query},\"modes\":[{}],\
              \"diagnostics\":[{}],\"solutions\":[{}],\"resolvents\":{},\
              \"violations\":{},\"answers_consistent\":{},\"mode_resolvents\":{},\
@@ -1000,24 +1023,27 @@ fn audit_modes(
             violations_json.join(",")
         );
     } else {
-        println!(
+        writeln!(
+            out,
             "mode report: {} predicate(s), {} declared, {} inferred",
             mode_rows.len(),
             report.declared.len(),
             mode_rows.len() - report.declared.len()
         );
         for (pred, modes, declared) in &mode_rows {
-            println!(
+            writeln!(
+                out,
                 "  {pred}{modes}  [{}]",
                 if *declared { "declared" } else { "inferred" }
             );
         }
-        print!("{}", diag::render_human_all(&diags, src, file));
+        write!(out, "{}", diag::render_human_all(&diags, src, file));
         for sol in &audit.solutions {
-            println!("{}", solution_line(program, query, sol));
+            writeln!(out, "{}", solution_line(program, query, sol));
         }
         for v in &audit.mode_violations {
-            println!(
+            writeln!(
+                out,
                 "mode violation at depth {}: input argument {} of `{}` is unbound in `{}`",
                 v.depth,
                 v.position + 1,
@@ -1025,7 +1051,8 @@ fn audit_modes(
                 program.display(&v.resolvent[0])
             );
         }
-        println!(
+        writeln!(
+            out,
             "audited {} resolvent(s): {} violation(s), answers {}",
             audit.resolvents_checked,
             audit.violations.len(),
@@ -1035,7 +1062,8 @@ fn audit_modes(
                 "INCONSISTENT"
             }
         );
-        println!(
+        writeln!(
+            out,
             "mode-checked {} resolvent(s): {} mode violation(s)",
             audit.mode_resolvents,
             audit.mode_violations.len()
@@ -1082,7 +1110,7 @@ fn operand<'a>(parsed: &'a ParsedArgs, index: usize, what: &str) -> Result<&'a S
         .ok_or_else(|| format!("`slp {}` needs {what}\n{}", parsed.command, usage()))
 }
 
-fn subtype(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
+fn subtype(program: TypedProgram, parsed: &ParsedArgs, out: &mut Stdout) -> Result<(), String> {
     let sup_src = operand(parsed, 1, "a SUPERTYPE")?;
     let sub_src = operand(parsed, 2, "a SUBTYPE")?;
     let naive = parsed.has("--naive");
@@ -1100,7 +1128,7 @@ fn subtype(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
     if naive {
         let prover = NaiveProver::new(&module.sig, &cs);
         let outcome = prover.prove(&sup, &sub);
-        println!("naive SLD over H_C: {outcome:?}");
+        writeln!(out, "naive SLD over H_C: {outcome:?}");
         return Ok(());
     }
     let checked = cs.checked(&module.sig).map_err(|e| e.to_string())?;
@@ -1125,7 +1153,8 @@ fn subtype(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
         subtype_lp::core::Proof::Refuted => "not derivable (exhaustive search)".to_string(),
         subtype_lp::core::Proof::Unknown => "inconclusive (search budget)".to_string(),
     };
-    println!(
+    writeln!(
+        out,
         "{} >= {}: {verdict}",
         TermDisplay::new(&sup, &module.sig),
         TermDisplay::new(&sub, &module.sig)
@@ -1133,7 +1162,7 @@ fn subtype(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn match_cmd(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
+fn match_cmd(program: TypedProgram, parsed: &ParsedArgs, out: &mut Stdout) -> Result<(), String> {
     let ty_src = operand(parsed, 1, "a TYPE")?;
     let term_src = operand(parsed, 2, "a TERM")?;
     let mut loader = program.into_loader();
@@ -1156,7 +1185,7 @@ fn match_cmd(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
     match match_type(&module.sig, &cs, &ty, &term) {
         MatchOutcome::Typing(theta) => {
             if theta.is_empty() {
-                println!("match: {{}} (the empty typing)");
+                writeln!(out, "match: {{}} (the empty typing)");
             } else {
                 let bindings: Vec<String> = theta
                     .iter()
@@ -1171,16 +1200,16 @@ fn match_cmd(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
                         )
                     })
                     .collect();
-                println!("match: {{{}}}", bindings.join(", "));
+                writeln!(out, "match: {{{}}}", bindings.join(", "));
             }
         }
-        MatchOutcome::Fail => println!("match: fail (no typing exists)"),
-        MatchOutcome::Bottom => println!("match: ⊥ (no unique most general typing)"),
+        MatchOutcome::Fail => writeln!(out, "match: fail (no typing exists)"),
+        MatchOutcome::Bottom => writeln!(out, "match: ⊥ (no unique most general typing)"),
     }
     Ok(())
 }
 
-fn filter_cmd(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
+fn filter_cmd(program: TypedProgram, parsed: &ParsedArgs, out: &mut Stdout) -> Result<(), String> {
     let from_src = operand(parsed, 1, "a FROM_TYPE")?;
     let to_src = operand(parsed, 2, "a TO_TYPE")?;
     let mut loader = program.into_loader();
@@ -1196,19 +1225,19 @@ fn filter_cmd(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> 
     let lib = subtype_lp::core::build_filter(&mut module.sig, &cs, &from, &to, &mut module.gen)
         .map_err(|e| e.to_string())?;
     for pt in &lib.pred_types {
-        println!("PRED {}.", TermDisplay::new(pt, &module.sig));
+        writeln!(out, "PRED {}.", TermDisplay::new(pt, &module.sig));
     }
     for c in &lib.clauses {
         let head = TermDisplay::new(&c.head, &module.sig);
         if c.body.is_empty() {
-            println!("{head}.");
+            writeln!(out, "{head}.");
         } else {
             let body: Vec<String> = c
                 .body
                 .iter()
                 .map(|b| TermDisplay::new(b, &module.sig).to_string())
                 .collect();
-            println!("{head} :- {}.", body.join(", "));
+            writeln!(out, "{head} :- {}.", body.join(", "));
         }
     }
     Ok(())
@@ -1246,6 +1275,7 @@ fn explain_cmd(
     src: &str,
     file: &str,
     parsed: &ParsedArgs,
+    out: &mut Stdout,
 ) -> Result<ExitCode, String> {
     use subtype_lp::term::{SymKind, Term};
 
@@ -1303,15 +1333,17 @@ fn explain_cmd(
     }
 
     if json {
-        println!(
+        writeln!(
+            out,
             "{{\"slp-explain\":1,\"file\":{},\"predicate\":{},\"items\":[\n  {}\n]}}",
             jstr(file),
             jstr(&pred_name),
             items.join(",\n  ")
         );
     } else {
-        print!("{human}");
-        println!(
+        write!(out, "{human}");
+        writeln!(
+            out,
             "{file}: explained {} item(s) for `{pred_name}`: {} well-typed, {} rejected",
             targets.len(),
             well_typed,
@@ -1532,7 +1564,7 @@ fn jstr(s: &str) -> String {
     out
 }
 
-fn info(program: &TypedProgram) -> Result<(), String> {
+fn info(program: &TypedProgram, out: &mut Stdout) {
     let m = program.module();
     let sig = &m.sig;
     use subtype_lp::term::SymKind;
@@ -1544,25 +1576,34 @@ fn info(program: &TypedProgram) -> Result<(), String> {
             })
             .collect()
     };
-    println!("function symbols: {}", names(SymKind::Func).join(", "));
-    println!("type constructors: {}", names(SymKind::TypeCtor).join(", "));
-    println!("predicates:        {}", names(SymKind::Pred).join(", "));
-    println!("constraints:");
+    writeln!(out, "function symbols: {}", names(SymKind::Func).join(", "));
+    writeln!(
+        out,
+        "type constructors: {}",
+        names(SymKind::TypeCtor).join(", ")
+    );
+    writeln!(
+        out,
+        "predicates:        {}",
+        names(SymKind::Pred).join(", ")
+    );
+    writeln!(out, "constraints:");
     for c in program.constraints().as_set().constraints() {
-        println!(
+        writeln!(
+            out,
             "  {} >= {}",
             TermDisplay::new(&c.lhs, sig),
             TermDisplay::new(&c.rhs, sig)
         );
     }
-    println!("predicate types:");
+    writeln!(out, "predicate types:");
     for (_, t) in program.pred_types().iter() {
-        println!("  {}", TermDisplay::new(t, sig));
+        writeln!(out, "  {}", TermDisplay::new(t, sig));
     }
-    println!(
+    writeln!(
+        out,
         "{} clause(s), {} query(ies)",
         m.clauses.len(),
         m.queries.len()
     );
-    Ok(())
 }

@@ -231,6 +231,23 @@ fn unknown_flags_exit_2_with_usage_on_stderr() {
 }
 
 #[test]
+fn jobs_above_the_limit_exit_2_naming_it() {
+    let f = example("app.slp");
+    let limit = format!("limit of {} workers", subtype_lp::core::par::MAX_JOBS);
+    for args in [
+        &["check", &f, "--jobs", "100000"] as &[&str],
+        &["lint", &f, "--jobs", "100000"],
+        &["audit", &f, "--jobs", "100000"],
+        &["serve", "--jobs", "100000"],
+    ] {
+        let (code, stdout, stderr) = slp_code(args);
+        assert_eq!(code, 2, "{args:?} must be refused");
+        assert!(stdout.is_empty(), "{args:?} printed to stdout: {stdout}");
+        assert!(stderr.contains(&limit), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
 fn unknown_command_exits_2() {
     let (code, stdout, stderr) = slp_code(&["chek", "x.slp"]);
     assert_eq!(code, 2);
@@ -701,10 +718,16 @@ fn closed_stdout_ends_output_without_a_panic() {
     // the reader goes away.
     let f = write_fixture("broken_pipe.slp", &lp_gen::programs::pipeline(600, 3));
     let file = f.to_str().unwrap();
-    let commands: [&[&str]; 3] = [
+    let wide = write_fixture("broken_pipe_wide.slp", &lp_gen::programs::pipeline(2000, 1));
+    let wide = wide.to_str().unwrap();
+    let facts = write_fixture("broken_pipe_facts.slp", &lp_gen::programs::fact_base(5000));
+    let facts = facts.to_str().unwrap();
+    let commands: [&[&str]; 5] = [
         &["lint", file],
         &["lint", file, "--format", "json"],
         &["export", file],
+        &["info", wide],
+        &["run", facts, "-n", "5000"],
     ];
     for args in commands {
         let (full_code, full_out, _) = slp_code(args);
