@@ -23,6 +23,8 @@ use std::fmt::{self, Write as _};
 
 use lp_parser::{LineIndex, ParseError, Span};
 
+use crate::obs::json::escape_into;
+
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -243,13 +245,13 @@ pub fn render_json_one(d: &Diagnostic, source: &Source<'_>, filename: &str) -> S
 
 fn write_json_one(out: &mut String, d: &Diagnostic, source: &Source<'_>, filename: &str) {
     out.push_str("{\"code\":");
-    write_json_str(out, d.code);
+    escape_into(out, d.code);
     out.push_str(",\"severity\":");
-    write_json_str(out, d.severity.as_str());
+    escape_into(out, d.severity.as_str());
     out.push_str(",\"message\":");
-    write_json_str(out, &d.message);
+    escape_into(out, &d.message);
     out.push_str(",\"file\":");
-    write_json_str(out, filename);
+    escape_into(out, filename);
     out.push_str(",\"span\":");
     match d.span {
         Some(span) => write_json_span(out, source, span),
@@ -260,7 +262,7 @@ fn write_json_one(out: &mut String, d: &Diagnostic, source: &Source<'_>, filenam
         if i > 0 {
             out.push(',');
         }
-        write_json_str(out, note);
+        escape_into(out, note);
     }
     out.push_str("],\"related\":[");
     for (i, (span, caption)) in d.related.iter().enumerate() {
@@ -270,7 +272,7 @@ fn write_json_one(out: &mut String, d: &Diagnostic, source: &Source<'_>, filenam
         out.push_str("{\"span\":");
         write_json_span(out, source, *span);
         out.push_str(",\"message\":");
-        write_json_str(out, caption);
+        escape_into(out, caption);
         out.push('}');
     }
     out.push_str("]}");
@@ -283,33 +285,6 @@ fn write_json_span(out: &mut String, source: &Source<'_>, span: Span) {
         "{{\"start\":{},\"end\":{},\"line\":{line},\"column\":{column}}}",
         span.start, span.end
     );
-}
-
-/// Appends `s` as a JSON string literal, copying the runs between escapes
-/// in one piece.
-fn write_json_str(out: &mut String, s: &str) {
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let mut run = 0;
-    for (i, c) in s.char_indices() {
-        if c != '"' && c != '\\' && (c as u32) >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-        }
-        run = i + c.len_utf8();
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// Appends a source excerpt: location line, the source line, and an

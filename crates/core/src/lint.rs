@@ -11,8 +11,10 @@
 //!    constraint chains produces a ground inhabitant. Reuses the grammar
 //!    view behind [`filter::shapes`](crate::filter::shapes).
 //! 3. **Head condition** (`E0202`) — definitional genericity (§5): a
-//!    defining clause must keep the declared argument types fully general,
-//!    detected as a rigid-variable commitment in a head-only match.
+//!    defining clause must keep the declared argument types fully general.
+//!    It is the well-typedness check's own failure on the head: a rigid
+//!    type variable committed while matching atom 0, on a head that the
+//!    flexible match of pass 1 types.
 //! 4. **Singletons and unused symbols** (`W0401`–`W0405`) — variables
 //!    occurring once, and function symbols / type constructors / predicates
 //!    / constraint type parameters that are never used.
@@ -37,7 +39,7 @@ use lp_term::{unify, Signature, Subst, Sym, SymKind, Term, TermDisplay, Var};
 
 use crate::analysis::TypeDeclError;
 use crate::budget::Budget;
-use crate::cmatch::{CMatchFailure, CMatcher, CState};
+use crate::cmatch::CMatchFailure;
 use crate::constraint::{CheckedConstraints, ConstraintSet};
 use crate::diag::{self, Diagnostic};
 use crate::filter;
@@ -57,10 +59,12 @@ pub struct LintOptions {
     /// either way — only the proof strategy differs.
     pub tabling: bool,
     /// Node budget for each inhabitation query of the W0302 emptiness
-    /// fixpoint (see [`Budget`]). Exhaustion answers "inhabited"
-    /// optimistically — no spurious emptiness warning — and is reported
-    /// once per run as a dedicated `W0303` diagnostic instead of the old
-    /// silent bail.
+    /// fixpoint (see [`Budget`]): every type term the query explores is
+    /// charged its size in term nodes, so the budget also bounds the
+    /// memory a query holds when expansions grow the terms. Exhaustion
+    /// answers "inhabited" optimistically — no spurious emptiness warning
+    /// — and is reported once per run as a dedicated `W0303` diagnostic
+    /// instead of the old silent bail.
     pub inhabitation_budget: u64,
     /// Unit budget for the mode passes (`E0601`/`W0602`/`W0603`/`E0604`),
     /// charged per atom visit and prover consultation (see
@@ -100,7 +104,7 @@ pub fn lint_module(module: &Module, options: &LintOptions) -> Vec<Diagnostic> {
 /// traffic and subtype goals aggregate into the same registry the CLI
 /// reports from.
 ///
-/// The per-clause passes (overlap, the two head matches, and
+/// The per-clause passes (overlap, the flexible head match, and
 /// `check_clause`) run as one task per clause on the [`crate::par`] pool,
 /// proving through one shared table. The findings are then emitted in
 /// clause order by one serial loop, which also owns the [`Inhabitation`]
@@ -654,20 +658,37 @@ impl<'m> HeadIndex<'m> {
     fn new(module: &'m Module) -> Self {
         let mut offset = module.gen.watermark();
         let mut group_ids: HashMap<FunctorKey, usize> = HashMap::new();
-        let mut groups: Vec<HeadGroup<'m>> = Vec::new();
         let mut group_of = Vec::with_capacity(module.clauses.len());
-        for (i, lc) in module.clauses.iter().enumerate() {
+        let mut ground_heads = Vec::with_capacity(module.clauses.len());
+        // Pass 1: each head's group, and how many ground heads each group
+        // has, so that no `ground` map grows (rehashing every head it
+        // holds) while pass 2 fills it.
+        let mut ground_counts = Vec::new();
+        for lc in &module.clauses {
             let head = &lc.clause.head;
             crate::arena::visit_vars(head, &mut |v| offset = offset.max(v.0 + 1));
             let p = head.functor().expect("clause heads are applications");
             let g = *group_ids.entry((p, head.args().len())).or_insert_with(|| {
-                groups.push(HeadGroup::default());
-                groups.len() - 1
+                ground_counts.push(0);
+                ground_counts.len() - 1
             });
             group_of.push(g);
-            let group = &mut groups[g];
-            group.all.push(i);
             let ground = head.is_ground();
+            ground_heads.push(ground);
+            ground_counts[g] += usize::from(ground);
+        }
+        let mut groups: Vec<HeadGroup<'m>> = ground_counts
+            .into_iter()
+            .map(|n| HeadGroup {
+                ground: HashMap::with_capacity(n),
+                ..HeadGroup::default()
+            })
+            .collect();
+        for (i, lc) in module.clauses.iter().enumerate() {
+            let head = &lc.clause.head;
+            let group = &mut groups[group_of[i]];
+            group.all.push(i);
+            let ground = ground_heads[i];
             if ground {
                 group.ground.entry(head).or_default().push(i);
             }
@@ -750,15 +771,16 @@ impl<'m> HeadIndex<'m> {
 /// is, and a constructor application is when some expansion
 /// ([`CheckedConstraints::expansions`]) is. The closure of a term under
 /// expansion and subterms is usually finite (guardedness bounds the ctor
-/// chains); a configurable node [`Budget`] guards the degenerate cases,
-/// answering "inhabited" optimistically (no spurious warning) and
-/// recording the exhaustion so the driver can report it (`W0303`).
+/// chains); a configurable [`Budget`] of term nodes (each explored term
+/// is charged its size) guards the degenerate cases, answering
+/// "inhabited" optimistically (no spurious warning) and recording the
+/// exhaustion so the driver can report it (`W0303`).
 struct Inhabitation<'a> {
     sig: &'a Signature,
     cs: &'a CheckedConstraints,
     verdict: BTreeMap<Term, bool>,
-    /// Per-query node budget (reset at the start of each `inhabited`
-    /// closure computation).
+    /// Per-query budget of term nodes (reset at the start of each
+    /// `inhabited` closure computation).
     budget: Budget,
     /// Whether any query ran out of budget (sticky across queries).
     exhausted: bool,
@@ -788,7 +810,7 @@ impl<'a> Inhabitation<'a> {
         let mut nodes: BTreeSet<Term> = BTreeSet::new();
         let mut stack = vec![ty.clone()];
         while let Some(t) = stack.pop() {
-            if !self.budget.charge(1) {
+            if !self.budget.charge(t.size() as u64) {
                 // Pathological growth: answer optimistically, but remember
                 // the bail so the driver emits a W0303 diagnostic.
                 self.exhausted = true;
@@ -898,48 +920,6 @@ fn empty_types(
 // (W0301), and full well-typedness (E0201/E0203)
 // ---------------------------------------------------------------------------
 
-/// Matches a clause head against its declared predicate type in isolation.
-///
-/// With `rigid`, the declared type's variables are rigid: a commitment
-/// means the clause head is *less general* than the declaration — the head
-/// condition / definitional genericity violation of §5. With flexible
-/// variables, failure means *no* invocation type can match the head at all:
-/// the clause is dead.
-fn match_head(
-    module: &Module,
-    checked: &CheckedConstraints,
-    preds: &PredTypeTable,
-    table: TableHandle<'_>,
-    obs: Option<&MetricsRegistry>,
-    atom: &Term,
-    rigid: bool,
-) -> Result<CState, CMatchFailure> {
-    let sig = &module.sig;
-    let p = atom.functor().expect("head is an application");
-    let declared = preds.get(p).expect("caller checked the declaration");
-    let mut watermark = module.gen.watermark();
-    for v in atom.vars().into_iter().chain(declared.vars()) {
-        watermark = watermark.max(v.0 + 1);
-    }
-    let mut state = CState::new(watermark);
-    let cm = CMatcher::with_handle(sig, checked, table).with_obs(obs);
-    let mut map: HashMap<Var, Var> = HashMap::new();
-    let renamed = declared.map_vars(&mut |v| {
-        Term::Var(*map.entry(v).or_insert_with(|| {
-            if rigid {
-                state.fresh_rigid()
-            } else {
-                state.fresh_flexible()
-            }
-        }))
-    });
-    for (tau, t) in renamed.args().iter().zip(atom.args()) {
-        cm.cmatch(&mut state, tau, t)?;
-    }
-    cm.finalize(&mut state)?;
-    Ok(state)
-}
-
 /// What one clause's pool task found: its overlap, dead-clause and
 /// head-condition findings, the head variables' types still to be checked
 /// for inhabitants, and its `check_clause` finding.
@@ -952,10 +932,18 @@ struct ClauseFindings {
     check: Option<Diagnostic>,
 }
 
-/// The per-clause type-level passes of one clause: the flexible head match
-/// (dead clauses, `W0301`), the rigid head match (head condition, `E0202`)
-/// and full well-typedness (Definition 16, `E0201`). They share nothing
-/// with other clauses but the proof table behind `table`.
+/// The per-clause type-level passes of one clause, two constrained
+/// matches through one [`Checker`]. They share nothing with other clauses
+/// but the proof table behind `table`.
+///
+/// * The flexible head match ([`Checker::match_head`]) asks whether any
+///   invocation matches the head: if not, the clause is dead (`W0301`).
+/// * `check_clause` is full well-typedness (Definition 16), whose atom 0
+///   is the head matched with rigid type variables. When the flexible
+///   match succeeded and `check_clause` fails there with a rigid
+///   commitment, the head is typeable but less general than its
+///   declaration: the head condition (`E0202`, §5). Any other failure is
+///   `E0201`.
 fn clause_passes(
     module: &Module,
     checked: &CheckedConstraints,
@@ -969,84 +957,75 @@ fn clause_passes(
     let lc = &module.clauses[idx];
     let head = &lc.clause.head;
     let span = head_span(lc);
-    let mut head_condition_violated = false;
-    if let Some(p) = head.functor() {
-        if preds.get(p).is_some() {
-            // (1) Dead clauses: flexible head-only match.
-            match match_head(module, checked, preds, table, obs, head, false) {
-                Err(f @ (CMatchFailure::NoTyping | CMatchFailure::VariableClash { .. })) => {
-                    let mut d = Diagnostic::warning(
-                        "W0301",
-                        format!(
-                            "clause for `{}` can never fire: no invocation matches its \
-                             head under the declared type",
-                            sig.name(p)
-                        ),
-                    )
-                    .with_span(span)
-                    .note(format!("constrained match of the head fails: {f}"));
-                    if let Some(ps) = module.pred_type_span(p) {
-                        d = d.related(ps, format!("`{}` declared here", sig.name(p)));
-                    }
-                    found.diags.push(d);
+    let checker = Checker::with_handle(sig, checked, preds, table).with_obs(obs);
+    // The head's predicate, once the flexible match has typed the head.
+    let mut typeable = None;
+    if let Some(p) = head.functor().filter(|&p| preds.get(p).is_some()) {
+        // Fresh type variables are numbered past every variable of the
+        // source, as the `W0301` empty-type message prints them.
+        match checker.match_head(head, module.gen.watermark()) {
+            Err(f @ (CMatchFailure::NoTyping | CMatchFailure::VariableClash { .. })) => {
+                let mut d = Diagnostic::warning(
+                    "W0301",
+                    format!(
+                        "clause for `{}` can never fire: no invocation matches its \
+                         head under the declared type",
+                        sig.name(p)
+                    ),
+                )
+                .with_span(span)
+                .note(format!("constrained match of the head fails: {f}"));
+                if let Some(ps) = module.pred_type_span(p) {
+                    d = d.related(ps, format!("`{}` declared here", sig.name(p)));
                 }
-                Ok(state) => {
-                    // (3) Head condition: the head is typeable under *some*
-                    // invocation (the flexible match above succeeded), so a
-                    // rigid commitment in the rigid-variable match pins a
-                    // genericity violation rather than plain ill-typedness.
-                    if let Err(CMatchFailure::RigidCommitment { .. }) =
-                        match_head(module, checked, preds, table, obs, head, true)
-                    {
-                        head_condition_violated = true;
-                        let mut d = Diagnostic::error(
-                            "E0202",
-                            format!(
-                                "clause head for `{}` violates the head condition \
-                                 (definitional genericity)",
-                                sig.name(p)
-                            ),
-                        )
-                        .with_span(span)
-                        .note(
-                            "a defining clause must keep the declared argument types \
-                             fully general; only invocations may instantiate predicate \
-                             type variables (§5)",
-                        );
-                        if let Some(ps) = module.pred_type_span(p) {
-                            d = d.related(ps, format!("`{}` declared here", sig.name(p)));
-                        }
-                        found.diags.push(d);
-                    }
-                    // The head matches, but a head variable may be forced
-                    // into a type with no ground inhabitant; the serial
-                    // emitter asks the inhabitation memo.
-                    found.forced = state
-                        .all_types()
-                        .into_iter()
-                        .filter(|(_, ty)| matches!(ty, Term::App(..)))
-                        .collect();
-                }
-                Err(_) => {}
+                found.diags.push(d);
             }
+            Ok(state) => {
+                typeable = Some(p);
+                // The head matches, but a head variable may be forced
+                // into a type with no ground inhabitant; the serial
+                // emitter asks the inhabitation memo.
+                found.forced = state
+                    .all_types()
+                    .into_iter()
+                    .filter(|(_, ty)| matches!(ty, Term::App(..)))
+                    .collect();
+            }
+            Err(_) => {}
         }
     }
-    // Full well-typedness (Definition 16). A head-condition violation
-    // already reports the rigid commitment on atom 0; skip the duplicate.
-    let checker = Checker::with_handle(sig, checked, preds, table).with_obs(obs);
-    if let Err(e) = checker.check_clause(&lc.clause) {
-        let duplicate = head_condition_violated
-            && matches!(
-                &e,
-                TypeCheckError::IllTypedAtom {
-                    atom: 0,
-                    failure: CMatchFailure::RigidCommitment { .. },
-                    ..
-                }
+    let Err(e) = checker.check_clause(&lc.clause) else {
+        return;
+    };
+    match (typeable, &e) {
+        (
+            Some(p),
+            TypeCheckError::IllTypedAtom {
+                atom: 0,
+                failure: CMatchFailure::RigidCommitment { .. },
+                ..
+            },
+        ) => {
+            let mut d = Diagnostic::error(
+                "E0202",
+                format!(
+                    "clause head for `{}` violates the head condition \
+                     (definitional genericity)",
+                    sig.name(p)
+                ),
+            )
+            .with_span(span)
+            .note(
+                "a defining clause must keep the declared argument types \
+                 fully general; only invocations may instantiate predicate \
+                 type variables (§5)",
             );
-        if !duplicate {
-            found.check = Some(clause_check_diagnostic(module, idx, &e));
+            if let Some(ps) = module.pred_type_span(p) {
+                d = d.related(ps, format!("`{}` declared here", sig.name(p)));
+            }
+            found.diags.push(d);
         }
+        _ => found.check = Some(clause_check_diagnostic(module, idx, &e)),
     }
 }
 
@@ -1685,5 +1664,102 @@ mod tests {
             "{duplicate_ground} duplicate ground heads"
         );
         assert!(mixed >= 100, "{mixed} mixed ground/non-ground overlaps");
+    }
+
+    /// Whether a check failed by committing a rigid type variable.
+    fn rigid_commitment(result: Result<crate::welltyped::ClauseTyping, TypeCheckError>) -> bool {
+        matches!(
+            result,
+            Err(TypeCheckError::IllTypedAtom {
+                failure: CMatchFailure::RigidCommitment { .. },
+                ..
+            } | TypeCheckError::UnsatisfiableCommitments {
+                failure: CMatchFailure::RigidCommitment { .. },
+            })
+        )
+    }
+
+    /// Body atoms that commit a head's rigid type variable (the random
+    /// worlds have none): `X : A` from the head, then `0` or `succ(0)`
+    /// where the body's list element type must be `A`.
+    const RIGID_BODIES: &str = "FUNC 0, succ, nil, cons. TYPE nat, elist, nelist, list. \
+         nat >= 0 + succ(nat). elist >= nil. nelist(A) >= cons(A, list(A)). \
+         list(A) >= elist + nelist(A). PRED p(A). PRED q(list(B)). PRED r(A, list(A)). \
+         p(X) :- q(cons(X, cons(0, nil))). p(X) :- q(cons(X, nil)). \
+         r(X, L) :- q(cons(X, cons(succ(0), L))). r(X, cons(X, nil)). r(0, nil). \
+         q(nil). q(cons(0, nil)).";
+
+    /// `E0202` is `check_clause` failing on atom 0 with a rigid commitment
+    /// after the flexible head match succeeded. The rule it replaced ran
+    /// its own rigid match of the head alone; that match is `check_clause`
+    /// on a body-less clause with the same head, and the two rules must
+    /// agree on every clause.
+    #[test]
+    fn head_condition_matches_the_rigid_head_match_oracle() {
+        let mut sources = vec![RIGID_BODIES.to_string()];
+        for seed in 0..160 {
+            sources.push(lp_gen::worlds::random_source(seed));
+        }
+        for n in 1..6 {
+            for e in 0..4 {
+                sources.push(lp_gen::programs::pipeline_with_errors(n, 2, e));
+            }
+            sources.push(lp_gen::programs::nrev(n));
+        }
+        // Clauses where the old rule reports `E0202`, and the two shapes
+        // where `check_clause` commits a rigid variable without an
+        // `E0202`: in a body atom, and on a head no invocation matches.
+        let (mut e0202, mut in_body, mut on_dead_head) = (0, 0, 0);
+        for src in &sources {
+            let m = parse_module(src).unwrap();
+            let reported: Vec<Span> = lint_module(&m, &LintOptions::default())
+                .iter()
+                .filter(|d| d.code == "E0202")
+                .filter_map(|d| d.span)
+                .collect();
+            let (Ok(checked), Ok(preds)) =
+                (checked_constraints(&m), PredTypeTable::from_module(&m))
+            else {
+                assert!(reported.is_empty(), "on:\n{src}");
+                continue;
+            };
+            let checker = Checker::new(&m.sig, &checked, &preds);
+            for lc in &m.clauses {
+                let head = &lc.clause.head;
+                let declared = head.functor().is_some_and(|p| preds.get(p).is_some());
+                let typeable = declared && checker.match_head(head, m.gen.watermark()).is_ok();
+                // The rigid head-only match: `check_clause` on the head alone.
+                let fact = lp_engine::Clause::fact(head.clone());
+                let oracle = typeable && rigid_commitment(checker.check_clause(&fact));
+                assert_eq!(
+                    reported.contains(&head_span(lc)),
+                    oracle,
+                    "E0202 verdict differs on clause at {:?} of:\n{src}",
+                    lc.span
+                );
+                e0202 += usize::from(oracle);
+                if let (
+                    false,
+                    Err(TypeCheckError::IllTypedAtom {
+                        atom,
+                        failure: CMatchFailure::RigidCommitment { .. },
+                        ..
+                    }),
+                ) = (oracle, checker.check_clause(&lc.clause))
+                {
+                    if atom > 0 {
+                        in_body += 1;
+                    } else if !typeable {
+                        on_dead_head += 1;
+                    }
+                }
+            }
+        }
+        assert!(e0202 >= 50, "{e0202} head-condition violations");
+        assert!(in_body >= 2, "{in_body} rigid commitments in a body atom");
+        assert!(
+            on_dead_head >= 40,
+            "{on_dead_head} rigid commitments on a dead head"
+        );
     }
 }

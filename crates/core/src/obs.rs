@@ -1032,7 +1032,7 @@ pub mod json {
                 JsonValue::Null => out.push_str("null"),
                 JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
                 JsonValue::Num(raw) => out.push_str(raw),
-                JsonValue::Str(s) => out.push_str(&escape(s)),
+                JsonValue::Str(s) => escape_into(out, s),
                 JsonValue::Arr(items) => {
                     out.push('[');
                     for (i, v) in items.iter().enumerate() {
@@ -1049,7 +1049,7 @@ pub mod json {
                         if i > 0 {
                             out.push(',');
                         }
-                        out.push_str(&escape(k));
+                        escape_into(out, k);
                         out.push(':');
                         v.render_into(out);
                     }
@@ -1076,23 +1076,37 @@ pub mod json {
     /// using the canonical short escapes plus `\u00XX` for other control
     /// characters.
     pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
+    /// Appends `s` to `out` as a JSON string literal (the encoding of
+    /// [`escape`]), copying the runs between escapes in one piece.
+    pub fn escape_into(out: &mut String, s: &str) {
+        use std::fmt::Write as _;
+        out.reserve(s.len() + 2);
         out.push('"');
-        for c in s.chars() {
+        let mut run = 0;
+        for (i, c) in s.char_indices() {
+            if c != '"' && c != '\\' && (c as u32) >= 0x20 {
+                continue;
+            }
+            out.push_str(&s[run..i]);
             match c {
                 '"' => out.push_str("\\\""),
                 '\\' => out.push_str("\\\\"),
                 '\n' => out.push_str("\\n"),
                 '\r' => out.push_str("\\r"),
                 '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
+                c => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
                 }
-                c => out.push(c),
             }
+            run = i + c.len_utf8();
         }
+        out.push_str(&s[run..]);
         out.push('"');
-        out
     }
 
     fn skip_ws(bytes: &[u8], pos: &mut usize) {

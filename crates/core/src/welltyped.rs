@@ -307,7 +307,7 @@ impl<'a> Checker<'a> {
     pub(crate) fn check_query_verdict(&self, goals: &[Term]) -> Result<(), TypeCheckError> {
         let atoms: Vec<&Term> = goals.iter().collect();
         let started = self.begin_check("query", Counter::QueryChecks, Timer::CheckQuery);
-        let result = self.match_atoms(&atoms, false).1.map(drop);
+        let result = self.match_atoms(&atoms, false, 0).1.map(drop);
         self.end_check("query", Timer::CheckQuery, started, result.is_ok());
         result
     }
@@ -400,7 +400,7 @@ impl<'a> Checker<'a> {
         atoms: &[&Term],
         rigid_head: bool,
     ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
-        let (mut state, matched) = self.match_atoms(atoms, rigid_head);
+        let (mut state, matched) = self.match_atoms(atoms, rigid_head, 0);
         let solve = state.take_last_solve();
         let result = matched.map(|atom_types| ClauseTyping {
             var_types: state.all_types(),
@@ -409,20 +409,45 @@ impl<'a> Checker<'a> {
         (result, solve)
     }
 
+    /// Matches a clause head alone against its declared type with
+    /// *flexible* type variables, then solves the commitments: whether
+    /// *some* invocation type matches the head. Fresh type variables are
+    /// numbered from at least `floor`.
+    ///
+    /// # Errors
+    ///
+    /// The matcher's reason when no invocation type matches the head.
+    ///
+    /// # Panics
+    ///
+    /// If the head's predicate has no declared type.
+    pub(crate) fn match_head(&self, head: &Term, floor: u32) -> Result<CState, CMatchFailure> {
+        let (state, matched) = self.match_atoms(&[head], false, floor);
+        match matched {
+            Ok(_) => Ok(state),
+            Err(
+                TypeCheckError::IllTypedAtom { failure, .. }
+                | TypeCheckError::UnsatisfiableCommitments { failure },
+            ) => Err(failure),
+            Err(e) => panic!("head match needs a declared type: {e}"),
+        }
+    }
+
     /// Matches every atom against its renamed predicate type, then solves
     /// the collected η commitments (paper §7). Returns the final matching
     /// state, which holds the witnessed solve whether it succeeded or not,
     /// and either each atom's (unresolved) instantiated type or the first
-    /// failure.
+    /// failure. Fresh type variables are numbered from at least `floor`.
     fn match_atoms(
         &self,
         atoms: &[&Term],
         rigid_head: bool,
+        floor: u32,
     ) -> (CState, Result<Vec<Term>, TypeCheckError>) {
         // Fresh type variables must not collide with program variables.
         // Allocation-free walk: `Term::vars` would build a set per atom
         // just to fold a maximum over it.
-        let mut watermark = self.preds.var_watermark();
+        let mut watermark = self.preds.var_watermark().max(floor);
         for a in atoms {
             crate::arena::visit_vars(a, &mut |v| watermark = watermark.max(v.0 + 1));
         }

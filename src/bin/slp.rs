@@ -67,6 +67,7 @@ use subtype_lp::core::lint::{
     clause_check_diagnostic, decl_diagnostic, lint_module_obs, mode_diagnostics,
     query_check_diagnostic, LintOptions,
 };
+use subtype_lp::core::obs::json;
 use subtype_lp::core::{
     match_type, mode_string, par, ConstraintSet, Counter, FaultPlan, MatchOutcome, MetricsRegistry,
     ModeAnalysis, NaiveProver, ProofTable, Prover, ServeConfig, ServeSession, ShardedProofTable,
@@ -978,8 +979,8 @@ fn audit_modes(
             .map(|(pred, modes, declared)| {
                 format!(
                     "{{\"pred\":{},\"modes\":{},\"declared\":{declared}}}",
-                    jstr(pred),
-                    jstr(modes)
+                    json::escape(pred),
+                    json::escape(modes)
                 )
             })
             .collect();
@@ -991,7 +992,7 @@ fn audit_modes(
         let solutions_json: Vec<String> = audit
             .solutions
             .iter()
-            .map(|sol| jstr(&solution_line(program, query, sol)))
+            .map(|sol| json::escape(&solution_line(program, query, sol)))
             .collect();
         let violations_json: Vec<String> = audit
             .mode_violations
@@ -1000,9 +1001,9 @@ fn audit_modes(
                 format!(
                     "{{\"depth\":{},\"pred\":{},\"argument\":{},\"atom\":{}}}",
                     v.depth,
-                    jstr(sig.name(v.pred)),
+                    json::escape(sig.name(v.pred)),
                     v.position + 1,
-                    jstr(&program.display(&v.resolvent[0]).to_string())
+                    json::escape(&program.display(&v.resolvent[0]).to_string())
                 )
             })
             .collect();
@@ -1012,7 +1013,7 @@ fn audit_modes(
              \"diagnostics\":[{}],\"solutions\":[{}],\"resolvents\":{},\
              \"violations\":{},\"answers_consistent\":{},\"mode_resolvents\":{},\
              \"mode_violations\":[{}],\"well_moded\":{well_moded}}}",
-            jstr(file),
+            json::escape(file),
             modes_json.join(","),
             diags_json.join(","),
             solutions_json.join(","),
@@ -1336,8 +1337,8 @@ fn explain_cmd(
         writeln!(
             out,
             "{{\"slp-explain\":1,\"file\":{},\"predicate\":{},\"items\":[\n  {}\n]}}",
-            jstr(file),
-            jstr(&pred_name),
+            json::escape(file),
+            json::escape(&pred_name),
             items.join(",\n  ")
         );
     } else {
@@ -1479,8 +1480,8 @@ fn explain_target(
                     let c = s.constraint.map_or("null".to_string(), |k| k.to_string());
                     format!(
                         "{{\"rule\":{},\"constraint\":{c},\"goal\":{}}}",
-                        jstr(s.rule),
-                        jstr(&s.goal)
+                        json::escape(s.rule),
+                        json::escape(&s.goal)
                     )
                 })
                 .collect();
@@ -1512,8 +1513,8 @@ fn explain_target(
                     ));
                     core_json.push(format!(
                         "{{\"goal\":{},\"commitment\":{}}}",
-                        jstr(goal),
-                        jstr(commit)
+                        json::escape(goal),
+                        json::escape(commit)
                     ));
                 }
                 d = d.note(
@@ -1530,38 +1531,23 @@ fn explain_target(
         "{{\"kind\":{},\"index\":{},\"line\":{line},\"source\":{},\"verdict\":{},\
          \"goals\":[{}],\"steps\":[{}],\"witness_validated\":{witness_validated},\
          \"core\":[{}],\"diagnostic\":{diag_json}}}",
-        jstr(t.what),
+        json::escape(t.what),
         t.index,
-        jstr(&quoted),
-        jstr(verdict),
+        json::escape(&quoted),
+        json::escape(verdict),
         goal_lines
             .iter()
-            .map(|(g, c)| format!("{{\"goal\":{},\"commitment\":{}}}", jstr(g), jstr(c)))
+            .map(|(g, c)| format!(
+                "{{\"goal\":{},\"commitment\":{}}}",
+                json::escape(g),
+                json::escape(c)
+            ))
             .collect::<Vec<_>>()
             .join(","),
         steps_json.join(","),
         core_json.join(",")
     );
     (verdict, section, item)
-}
-
-/// Minimal JSON string quoting (matches `diag`'s encoding).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn info(program: &TypedProgram, out: &mut Stdout) {

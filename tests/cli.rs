@@ -208,6 +208,26 @@ fn slp_code(args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// An lp-gen world whose constraint expansions double a type term at each
+/// step: the emptiness analysis runs out of its budget of term nodes and
+/// says so (`W0303`) instead of growing until the allocator aborts. The
+/// address-space cap keeps a regression from taking the host's memory.
+#[test]
+fn exploding_inhabitation_query_stays_within_its_budget() {
+    let f = write_fixture("world_2087.slp", &lp_gen::worlds::random_source(2087));
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576; exec \"$0\" lint \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_slp"))
+        .arg(&f)
+        .output()
+        .expect("sh runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("warning[W0303]"), "{stdout}");
+}
+
 #[test]
 fn unknown_flags_exit_2_with_usage_on_stderr() {
     let f = example("app.slp");
