@@ -371,6 +371,153 @@ mod tests {
         assert!(report.is_well_moded());
     }
 
+    /// Every resolvent an audit of `:- goals.` checks: the goals
+    /// themselves, each resolvent the engine derives, and each answer's
+    /// instantiated query.
+    fn audited_resolvents(db: &Database, goals: &[Term]) -> Vec<Vec<Term>> {
+        let config = AuditConfig::default();
+        let mut query = Query::new(db, goals.to_vec(), config.solve);
+        let mut out = vec![goals.to_vec()];
+        for _ in 0..config.max_solutions {
+            let solution = query.next_solution_observed(&mut |step: &Step| {
+                if !step.resolvent.is_empty() {
+                    out.push(step.resolvent.clone());
+                }
+            });
+            let Some(solution) = solution else { break };
+            out.push(goals.iter().map(|g| solution.answer.resolve(g)).collect());
+        }
+        out
+    }
+
+    /// Resolvents checked by the oracle, by the list verdict.
+    #[derive(Debug, Default)]
+    struct Tally {
+        ok: u32,
+        ill_typed_atom: u32,
+        unsatisfiable: u32,
+    }
+
+    /// Audits every query of `src`, untabled and tabled, and requires the
+    /// auditor's set verdict to equal the evidence-carrying list verdict,
+    /// error included, on every resolvent.
+    fn set_verdict_matches_list(src: &str, tally: &mut Tally) {
+        let m = parse_module(src).expect("fixture parses");
+        let cs = ConstraintSet::from_module(&m)
+            .unwrap()
+            .checked(&m.sig)
+            .unwrap();
+        let preds = PredTypeTable::from_module(&m).unwrap();
+        let table = std::cell::RefCell::new(crate::table::ProofTable::new());
+        let db = m.database();
+        for checker in [
+            Checker::new(&m.sig, &cs, &preds),
+            Checker::with_table(&m.sig, &cs, &preds, &table),
+        ] {
+            for query in &m.queries {
+                for resolvent in audited_resolvents(&db, &query.goals) {
+                    let list = checker.check_query(&resolvent).map(drop);
+                    let set = checker.check_query_verdict(&resolvent);
+                    assert_eq!(set, list, "{src}\nresolvent {resolvent:?}");
+                    match list {
+                        Ok(()) => tally.ok += 1,
+                        Err(TypeCheckError::IllTypedAtom { .. }) => tally.ill_typed_atom += 1,
+                        Err(TypeCheckError::UnsatisfiableCommitments { .. }) => {
+                            tally.unsatisfiable += 1;
+                        }
+                        Err(e) => panic!("unexpected check error: {e}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A numeral: `succ` or `pred` applied `depth` times to `0`.
+    fn numeral(depth: usize, negative: bool) -> String {
+        let f = if negative { "pred" } else { "succ" };
+        (0..depth).fold("0".to_string(), |t, _| format!("{f}({t})"))
+    }
+
+    #[test]
+    fn set_verdict_equals_list_verdict_on_every_audited_resolvent() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut sources = Vec::new();
+        // Seeded naive reverse: list cells repeat a few numerals, so most
+        // of a resolvent's commitments are duplicates.
+        let mut rng = StdRng::seed_from_u64(25);
+        for n in [0, 1, 4, 9, 14] {
+            let mut list = "nil".to_string();
+            for _ in 0..n {
+                let cell = numeral(rng.gen_range(0..3), rng.gen_bool(0.2));
+                list = format!("cons({cell}, {list})");
+            }
+            let rules = lp_gen::programs::nrev(0);
+            let rules = rules.rsplit_once(":- rev(").expect("nrev has a query").0;
+            sources.push(format!("{rules}:- rev({list}, R).\n"));
+        }
+        // The list programs of this module.
+        let app = "PRED app(list(A), list(A), list(A)).
+                   app(nil, L, L).
+                   app(cons(X, L), M, cons(X, N)) :- app(L, M, N).";
+        sources.push(format!(
+            "{LIST_DECLS} {app}
+             :- app(cons(0, nil), cons(succ(0), nil), Z).
+             :- app(X, Y, cons(0, cons(pred(0), cons(succ(0), cons(0, nil))))).
+             :- app(cons(0, nil), Y, cons(0, cons(0, nil))).
+            "
+        ));
+        // The committed examples that have queries.
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let mut with_queries = 0;
+        for name in ["app.slp", "naturals.slp", "modes_demo.slp"] {
+            let src = std::fs::read_to_string(format!("{examples}/{name}")).unwrap();
+            with_queries += usize::from(src.contains(":-"));
+            sources.push(src);
+        }
+        assert_eq!(with_queries, 3);
+        // Fault injection: statically ill-typed programs whose runs reach
+        // ill-typed resolvents.
+        sources.push(format!(
+            "{LIST_DECLS}
+             PRED p(int). PRED q(list(int)).
+             p(nil). q(cons(0, nil)).
+             :- p(X).
+             :- q(X), p(Y).
+             PRED head(list(int), int).
+             head(cons(X, L), X).
+             head(nil, nil).
+             :- head(L, X).
+            "
+        ));
+        // `eq(X, cons(X, nil))` commits a variable to a type admitting a
+        // list of itself, which no type does, so the solve itself fails
+        // (the prover runs out of steps: `Ambiguous`). The failing
+        // commitment is the first of the first clause's resolvent, after
+        // duplicates, and the last of the second's.
+        sources.push(format!(
+            "{LIST_DECLS}
+             PRED eq(A, A). eq(X, X).
+             PRED any(A). any(X).
+             PRED same(list(A)). same(L).
+             PRED loop(A).
+             loop(X) :- eq(X, cons(X, nil)), same(cons(0, cons(0, cons(succ(0), nil)))), any(0).
+             loop(X) :- any(nil), eq(cons(X, nil), X).
+             :- loop(Y).
+            "
+        ));
+        let mut tally = Tally::default();
+        for src in &sources {
+            set_verdict_matches_list(src, &mut tally);
+        }
+        // 468 / 6 / 6 when written: each fault resolvent counts once per
+        // checker.
+        assert!(tally.ok >= 400, "{tally:?}");
+        assert!(tally.ill_typed_atom >= 6, "{tally:?}");
+        assert!(tally.unsatisfiable >= 6, "{tally:?}");
+    }
+
     #[test]
     fn deep_recursion_audits_every_step() {
         // nrev-style workload: reverse of a 5-element list; every resolvent

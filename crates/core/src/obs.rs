@@ -84,7 +84,9 @@ pub enum Counter {
     EngineDepthCutoffs,
     /// Source files processed by the CLI.
     FilesProcessed,
-    /// Proof witnesses attached to `Proved` verdicts.
+    /// Proof witnesses attached to `Proved` verdicts. Only the
+    /// evidence-carrying solves emit them (`check`, `explain`, `lint`,
+    /// `serve`); the Theorem-6 audit's verdict-only check emits none.
     WitnessEmitted,
     /// Witness chains that replayed successfully under validation.
     WitnessValidated,

@@ -297,9 +297,13 @@ impl<'a> Checker<'a> {
         result
     }
 
-    /// [`Checker::check_query`] without the evidence: the same verdict,
-    /// counters and timer, but no resolved [`ClauseTyping`] is built. The
-    /// Theorem 6 auditor, which checks every resolvent, needs only this.
+    /// [`Checker::check_query`] without the evidence: the same verdict and
+    /// the same `query_checks` counter and `check_query` timer, but no
+    /// resolved [`ClauseTyping`] and no witness. The open commitments are
+    /// proved as a deduplicated set ([`CMatcher::finalize_verdict`]), so a
+    /// long resolvent whose commitments repeat (`α >= d` once per list
+    /// cell) costs one prover goal per distinct commitment. The Theorem 6
+    /// auditor, which checks every resolvent, needs only this.
     ///
     /// # Errors
     ///
@@ -307,7 +311,12 @@ impl<'a> Checker<'a> {
     pub(crate) fn check_query_verdict(&self, goals: &[Term]) -> Result<(), TypeCheckError> {
         let atoms: Vec<&Term> = goals.iter().collect();
         let started = self.begin_check("query", Counter::QueryChecks, Timer::CheckQuery);
-        let result = self.match_atoms(&atoms, false, 0).1.map(drop);
+        let (mut state, matched) = self.match_atoms(&atoms, false, 0);
+        let result = matched.and_then(|_| {
+            self.matcher()
+                .finalize_verdict(&mut state)
+                .map_err(unsatisfiable)
+        });
         self.end_check("query", Timer::CheckQuery, started, result.is_ok());
         result
     }
@@ -400,7 +409,7 @@ impl<'a> Checker<'a> {
         atoms: &[&Term],
         rigid_head: bool,
     ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
-        let (mut state, matched) = self.match_atoms(atoms, rigid_head, 0);
+        let (mut state, matched) = self.solve_atoms(atoms, rigid_head, 0);
         let solve = state.take_last_solve();
         let result = matched.map(|atom_types| ClauseTyping {
             var_types: state.all_types(),
@@ -422,7 +431,7 @@ impl<'a> Checker<'a> {
     ///
     /// If the head's predicate has no declared type.
     pub(crate) fn match_head(&self, head: &Term, floor: u32) -> Result<CState, CMatchFailure> {
-        let (state, matched) = self.match_atoms(&[head], false, floor);
+        let (state, matched) = self.solve_atoms(&[head], false, floor);
         match matched {
             Ok(_) => Ok(state),
             Err(
@@ -433,11 +442,36 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Matches every atom against its renamed predicate type, then solves
-    /// the collected η commitments (paper §7). Returns the final matching
-    /// state, which holds the witnessed solve whether it succeeded or not,
-    /// and either each atom's (unresolved) instantiated type or the first
-    /// failure. Fresh type variables are numbered from at least `floor`.
+    /// The constraint matcher every check of this checker runs.
+    fn matcher(&self) -> CMatcher<'a> {
+        CMatcher::with_handle(self.sig, self.cs, self.table)
+            .with_obs(self.obs)
+            .with_budget(self.budget)
+    }
+
+    /// [`Checker::match_atoms`], then the collected η commitments solved
+    /// with evidence ([`CMatcher::finalize`], paper §7). The returned state
+    /// holds the witnessed solve whether it succeeded or not.
+    fn solve_atoms(
+        &self,
+        atoms: &[&Term],
+        rigid_head: bool,
+        floor: u32,
+    ) -> (CState, Result<Vec<Term>, TypeCheckError>) {
+        let (mut state, matched) = self.match_atoms(atoms, rigid_head, floor);
+        let result = matched.and_then(|atom_types| {
+            self.matcher()
+                .finalize(&mut state)
+                .map(|()| atom_types)
+                .map_err(unsatisfiable)
+        });
+        (state, result)
+    }
+
+    /// Matches every atom against its renamed predicate type, collecting
+    /// the η commitments unsolved. Returns the matching state and either
+    /// each atom's (unresolved) instantiated type or the first failure.
+    /// Fresh type variables are numbered from at least `floor`.
     fn match_atoms(
         &self,
         atoms: &[&Term],
@@ -452,9 +486,7 @@ impl<'a> Checker<'a> {
             crate::arena::visit_vars(a, &mut |v| watermark = watermark.max(v.0 + 1));
         }
         let mut state = CState::new(watermark);
-        let cm = CMatcher::with_handle(self.sig, self.cs, self.table)
-            .with_obs(self.obs)
-            .with_budget(self.budget);
+        let cm = self.matcher();
         let mut atom_types = Vec::with_capacity(atoms.len());
         for (index, atom) in atoms.iter().enumerate() {
             let p = atom.functor().expect("atoms are applications");
@@ -478,12 +510,13 @@ impl<'a> Checker<'a> {
                 }
             }
         }
-        let result = cm
-            .finalize(&mut state)
-            .map(|()| atom_types)
-            .map_err(|failure| TypeCheckError::UnsatisfiableCommitments { failure });
-        (state, result)
+        (state, Ok(atom_types))
     }
+}
+
+/// A failed commitment solve as a check error.
+fn unsatisfiable(failure: CMatchFailure) -> TypeCheckError {
+    TypeCheckError::UnsatisfiableCommitments { failure }
 }
 
 /// A clause-level parallel front end for [`Checker`].

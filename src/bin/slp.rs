@@ -850,6 +850,18 @@ fn flag_usize(parsed: &ParsedArgs, flag: &str) -> Result<Option<usize>, String> 
     }
 }
 
+/// `-n MAX`, the most answers to find (default 10). Zero is a usage
+/// error: `run` would print `no.` for a query that may well succeed.
+fn max_answers(parsed: &ParsedArgs) -> Result<usize, String> {
+    match flag_usize(parsed, "-n")? {
+        Some(0) => Err(format!(
+            "-n expects at least 1 answer, got `0`\n{}",
+            usage()
+        )),
+        max => Ok(max.unwrap_or(10)),
+    }
+}
+
 fn execute(
     program: &TypedProgram,
     src: &str,
@@ -862,12 +874,12 @@ fn execute(
     // clauses (sharing one proof table); the audit itself is serial
     // and its output byte-identical at every job count.
     let jobs = if auditing { jobs_of(parsed)? } else { 1 };
+    let max = max_answers(parsed)?;
     let diags = check_program_diags(program, jobs, !program.tabling(), false);
     if !diags.is_empty() {
         return Ok(report_errors(&diags, src, file));
     }
     let query = flag_usize(parsed, "-q")?.unwrap_or(0);
-    let max = flag_usize(parsed, "-n")?.unwrap_or(10);
     let queries = &program.module().queries;
     if queries.is_empty() {
         return Err("the program contains no queries".into());
@@ -1583,7 +1595,9 @@ fn info(program: &TypedProgram, out: &mut Stdout) {
         );
     }
     writeln!(out, "predicate types:");
-    for (_, t) in program.pred_types().iter() {
+    // Declaration order: the table's own order is a hash map's, which
+    // differs from process to process.
+    for t in &m.pred_types {
         writeln!(out, "  {}", TermDisplay::new(t, sig));
     }
     writeln!(

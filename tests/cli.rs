@@ -155,10 +155,11 @@ fn golden(args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn no_table_is_byte_identical_on_paper_examples() {
-    for name in ["app.slp", "naturals.slp"] {
-        let f = example(name);
+    let nrev = write_fixture("nrev12.slp", &lp_gen::programs::nrev(12));
+    let nrev = nrev.to_str().unwrap().to_string();
+    for f in [example("app.slp"), example("naturals.slp"), nrev] {
         let (ok, stdout, _) = golden(&["check", &f]);
-        assert!(ok, "{name} should be well-typed: {stdout}");
+        assert!(ok, "{f} should be well-typed: {stdout}");
         let (ok, _, _) = golden(&["run", &f]);
         assert!(ok);
         let (ok, _, _) = golden(&["audit", &f]);
@@ -248,6 +249,25 @@ fn unknown_flags_exit_2_with_usage_on_stderr() {
     let (code, _, stderr) = slp_code(&["check", &f, "--jobs", "many"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("expects a number"), "{stderr}");
+}
+
+#[test]
+fn zero_answers_is_a_usage_error() {
+    let f = example("app.slp");
+    for args in [
+        &["run", &f, "-n", "0"] as &[&str],
+        &["audit", &f, "-n", "0"],
+        &["audit", &f, "-n", "0", "--modes"],
+        &["audit", &f, "-n", "0", "--modes", "--format", "json"],
+    ] {
+        let (code, stdout, stderr) = slp_code(args);
+        assert_eq!(code, 2, "{args:?} must be refused");
+        assert!(stdout.is_empty(), "{args:?} printed to stdout: {stdout}");
+        assert!(stderr.contains("-n expects"), "{args:?} stderr: {stderr}");
+    }
+    let (code, stdout, _) = slp_code(&["run", &f, "-n", "1"]);
+    assert_eq!(code, 0);
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
 }
 
 #[test]
